@@ -66,8 +66,9 @@ fn bench_recompute(c: &mut Criterion) {
 
 /// Instrumentation overhead: the ingest + recompute loop with the global
 /// `mdrep-obs` registry recording normally vs. fully disabled (every record
-/// call early-outs on one atomic load). The two means feed `BENCH_obs.json`
-/// and must stay within 2% of each other (see EXPERIMENTS.md).
+/// call early-outs on one atomic load). The two means feed
+/// `BENCH_throughput.json` and must stay within 2% of each other (see
+/// EXPERIMENTS.md).
 fn bench_obs_overhead(c: &mut Criterion) {
     let trace = trace_of(200, 3);
     let end = SimTime::from_ticks(3 * 86_400);

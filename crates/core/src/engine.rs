@@ -20,7 +20,8 @@ use crate::snapshot::EngineSnapshot;
 use crate::user_trust::UserTrust;
 use crate::volume_trust::VolumeTrust;
 use mdrep_matrix::{
-    blend_frozen, normalize_row_mut, normalized_row, shard_ranges, CsrMatrix, UserIndex,
+    approx_row_bytes, blend_entries, map_chunks, normalized_entries, CsrMatrix, RowRun,
+    SparseVector, UserIndex,
 };
 use mdrep_types::{Evaluation, FileId, FileSize, SimTime, UserId};
 use mdrep_workload::{Catalog, EventKind, TraceEvent};
@@ -30,9 +31,9 @@ use std::sync::Arc;
 /// The one-step matrices of the last recomputation, kept for inspection and
 /// experiments.
 ///
-/// The matrices are frozen into CSR form at recompute time (normalization is
-/// fused into the freeze); the incremental path patches dirty rows through
-/// each matrix's overlay, which the next full rebuild compacts away.
+/// The matrices are CSR: a rebuild of every row writes fresh contiguous
+/// arrays; a dirty-row rebuild patches its rows through each matrix's
+/// overlay, which the next rebuild of every row replaces.
 #[derive(Debug, Clone)]
 pub struct TrustComponents {
     /// File-based one-step matrix `FM` (Equation 3).
@@ -48,14 +49,14 @@ pub struct TrustComponents {
 /// How a [`ReputationEngine::recompute`] call actually ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecomputeMode {
-    /// Batch rebuild of every matrix (first recompute, incremental path
-    /// disabled, or an explicit [`ReputationEngine::full_rebuild`]).
+    /// Every row was rebuilt (first recompute, incremental path disabled,
+    /// or an explicit [`ReputationEngine::full_rebuild`]).
     Full,
     /// Only the dirty rows were rebuilt, renormalized, and re-blended.
     Incremental,
     /// The dirty fraction exceeded
     /// [`Params::incremental_threshold`](crate::Params::incremental_threshold),
-    /// so the engine fell back to a batch rebuild.
+    /// so the engine fell back to rebuilding every row.
     FallbackFull,
 }
 
@@ -67,11 +68,12 @@ pub enum RecomputeMode {
 /// an event on file `f` dirties the `FM` rows of *all* current evaluators
 /// of `f` (any pair among them can change), the actor's `DM` row, and — for
 /// rankings — the rater's `UM` row. [`recompute`](Self::recompute) then
-/// rebuilds only those rows in place, renormalizes them, re-blends the
-/// affected `TM` rows, and patches `RM`, producing bit-identical results to
-/// the batch path. When the dirty fraction exceeds
+/// rebuilds only those rows, renormalizes them, re-blends the affected
+/// `TM` rows, and patches `RM`. A rebuild of every row runs the same row
+/// rebuild over every known row, so the results are bit-identical. When
+/// the dirty fraction exceeds
 /// [`Params::incremental_threshold`](crate::Params::incremental_threshold)
-/// it falls back to the batch rebuild automatically;
+/// it falls back to rebuilding every row automatically;
 /// [`full_rebuild`](Self::full_rebuild) forces one.
 ///
 /// # Examples
@@ -114,26 +116,84 @@ pub struct ReputationEngine {
     last_publish_bytes: usize,
 }
 
-/// One dirty row's rebuilt slabs, produced by a shard worker of the
-/// parallel dirty recompute and merged serially into the CSR overlays.
-/// `fm`/`dm`/`um` are `Some` exactly when the row is dirty in that store;
-/// the blended `tm` row is always rebuilt (any dirty component changes it).
-/// Slabs arrive filtered and `Arc`-wrapped so the serial merge is a
-/// pointer insert per row — the allocation and zero-filtering happened on
-/// the worker.
-struct RowPatch {
-    user: UserId,
-    fm: Option<Arc<mdrep_matrix::SparseVector>>,
-    dm: Option<Arc<mdrep_matrix::SparseVector>>,
-    um: Option<Arc<mdrep_matrix::SparseVector>>,
-    tm: Arc<mdrep_matrix::SparseVector>,
+/// What the per-row worker reads: the stores (immutable while the workers
+/// run) and, on an incremental rebuild, each store's dirty rows with the
+/// previous matrices that keep every clean row.
+#[derive(Clone, Copy)]
+struct RowSources<'a> {
+    ft: &'a mdrep_matrix::SparseMatrix,
+    volume: &'a VolumeTrust,
+    user_trust: &'a UserTrust,
+    evals: &'a EvaluationStore,
+    params: &'a Params,
+    now: SimTime,
+    /// `FM`/`DM`/`UM` dirty rows (ascending) and the previous matrices;
+    /// `None` rebuilds every component row.
+    dirty: Option<(&'a [Vec<UserId>; 3], &'a TrustComponents)>,
 }
 
-/// Approximate heap bytes of one published overlay row slab — the same
-/// unit [`CsrMatrix::overlay_bytes`] prices rows in, so the publish gauges
-/// and the matrix-side accounting stay comparable.
-fn row_slab_bytes(len: usize) -> usize {
-    mdrep_matrix::approx_row_bytes(len)
+/// One sparse row as `(column, value)` pairs in ascending column order.
+type Row = Vec<(UserId, f64)>;
+
+/// One row of every matrix as the worker rebuilt it: the `FM`/`DM`/`UM`
+/// rows, each `Some` exactly when that store's row is rebuilt, and the
+/// blended `TM` row, always rebuilt (any rebuilt component changes it).
+/// Rows arrive normalized and zero-filtered.
+struct RowParts {
+    parts: [Option<Row>; 3],
+    tm: Row,
+}
+
+impl RowSources<'_> {
+    /// Rebuilds row `u`: Equations 3, 5 and 6 for each component row to
+    /// rebuild, then the Equation 7 blend over the fresh rows where rebuilt
+    /// and the previous rows where not.
+    fn build_row(&self, u: UserId) -> RowParts {
+        let fresh: [&dyn Fn() -> Row; 3] = [
+            &|| normalized_entries(self.ft.row(u).into_iter().flatten()),
+            &|| normalized_entries(&self.volume.vd_row(u, self.evals, self.now, self.params)),
+            &|| normalized_entries(&self.user_trust.ut_row(u)),
+        ];
+        // `(rebuilt, row)` per store: the fresh row, or the previous
+        // matrix's row when an incremental rebuild finds it clean.
+        let rows: [(bool, Row); 3] = std::array::from_fn(|store| match self.dirty {
+            Some((sets, comps)) if sets[store].binary_search(&u).is_err() => {
+                let previous = [&comps.fm, &comps.dm, &comps.um][store];
+                (false, previous.row_entries(u).collect())
+            }
+            _ => (true, fresh[store]()),
+        });
+        let w = self.params.weights();
+        let tm = blend_entries([
+            (w.alpha(), &rows[0].1[..]),
+            (w.beta(), &rows[1].1[..]),
+            (w.gamma(), &rows[2].1[..]),
+        ]);
+        RowParts {
+            parts: rows.map(|(rebuilt, row)| rebuilt.then_some(row)),
+            tm,
+        }
+    }
+}
+
+/// One dirty row's rebuilt slabs (as in [`RowParts`]), ready for the
+/// serial merge into the CSR overlays. Slabs are `Arc`-wrapped on the
+/// worker so the merge is a pointer insert per row.
+struct RowPatch {
+    user: UserId,
+    parts: [Option<Arc<SparseVector>>; 3],
+    tm: Arc<SparseVector>,
+}
+
+impl RowParts {
+    fn into_patch(self, user: UserId) -> RowPatch {
+        let slab = |row: Row| Arc::new(row.into_iter().collect::<SparseVector>());
+        RowPatch {
+            user,
+            parts: self.parts.map(|part| part.map(slab)),
+            tm: slab(self.tm),
+        }
+    }
 }
 
 impl ReputationEngine {
@@ -173,7 +233,7 @@ impl ReputationEngine {
     }
 
     /// Whether dirty-row bookkeeping is worth the per-event cost: with a
-    /// zero threshold every recompute is a batch rebuild anyway.
+    /// zero threshold every recompute rebuilds every row anyway.
     fn dirty_tracking_enabled(&self) -> bool {
         self.params.incremental_threshold() > 0.0
     }
@@ -319,36 +379,37 @@ impl ReputationEngine {
     }
 
     /// Rebuilds `FM`, `DM`, `UM`, `TM`, and `RM` from the observations —
-    /// incrementally when the dirty-row fraction is below
+    /// only the dirty rows when their fraction is below
     /// [`Params::incremental_threshold`](crate::Params::incremental_threshold),
-    /// batch otherwise. Both paths produce bit-identical matrices.
+    /// every row otherwise. Both run the same row rebuild and produce
+    /// bit-identical matrices.
     ///
     /// Each phase reports its wall time to the global [`mdrep_obs`]
-    /// registry under `engine.recompute.*`, along with `engine.*.nnz` /
-    /// `engine.tm.density` gauges, the `engine.recompute.dirty_rows` gauge,
-    /// and an `engine.recompute.mode.*` counter recording which path ran.
+    /// registry under `engine.recompute.*` (and to the trace ring under the
+    /// same names), along with `engine.*.nnz` / `engine.tm.density` gauges,
+    /// the `engine.recompute.dirty_rows` gauge, and an
+    /// `engine.recompute.mode.*` counter recording which mode ran.
     pub fn recompute(&mut self, now: SimTime) {
         self.recompute_inner(now, false);
     }
 
-    /// Forces a batch rebuild of every matrix, regardless of dirty state —
-    /// the escape hatch (and the reference the equivalence tests compare
-    /// the incremental path against).
+    /// Forces a rebuild of every row, regardless of dirty state — the
+    /// escape hatch (and the reference the equivalence tests compare the
+    /// dirty-row rebuild against).
     pub fn full_rebuild(&mut self, now: SimTime) {
         self.recompute_inner(now, true);
     }
 
     fn recompute_inner(&mut self, now: SimTime, force_full: bool) {
         let obs = mdrep_obs::global();
-        let _total = obs.span("engine.recompute.total");
         // Per-epoch causal root: every phase below traces as a child, so a
         // stalled epoch can be blamed on its slowest phase in the exported
         // span tree.
-        let mut epoch = mdrep_obs::trace_span("engine.recompute.epoch");
+        let mut epoch = mdrep_obs::phase("engine.recompute.total");
         obs.counter_inc("engine.recompute.count");
 
         let mode = {
-            let _trace = mdrep_obs::trace_span("engine.recompute.dirty_expand");
+            let _phase = mdrep_obs::phase("engine.recompute.dirty_expand");
             self.plan_mode(now, force_full)
         };
         self.last_dirty_rows = self.pending_dirty_rows();
@@ -363,10 +424,7 @@ impl ReputationEngine {
         );
         epoch.annotate("dirty_rows", self.last_dirty_rows.to_string());
         epoch.annotate("sim_time_ticks", now.as_ticks().to_string());
-        match mode {
-            RecomputeMode::Incremental => self.rebuild_incremental(now),
-            RecomputeMode::Full | RecomputeMode::FallbackFull => self.rebuild_full(now),
-        }
+        self.rebuild(now, mode);
         obs.counter_inc(match mode {
             RecomputeMode::Full => "engine.recompute.mode.full",
             RecomputeMode::Incremental => "engine.recompute.mode.incremental",
@@ -426,256 +484,202 @@ impl ReputationEngine {
         }
     }
 
-    /// The batch path: rebuild every matrix from the stores (rows built and
-    /// blended across [`Params::threads`](crate::Params::threads) workers)
-    /// and clear all dirty state.
-    fn rebuild_full(&mut self, now: SimTime) {
-        let obs = mdrep_obs::global();
-        let threads = self.params.effective_threads();
-        self.dirty_files.clear();
-        // Build the raw matrices first, then freeze all three under one
-        // shared interner so the blend and power kernels can assume a
-        // common dense column space. Row normalization (Eqs. 3/5/6) is
-        // fused into the freeze pass.
-        self.file_trust
-            .full_rebuild(&self.evals, now, &self.params, self.file_trust_options);
-        self.volume.clear_dirty();
-        self.user_trust.clear_dirty();
-        let dm_raw = self
-            .volume
-            .raw_parallel(&self.evals, now, &self.params, threads);
-        let um_raw = self.user_trust.raw();
-        let ft_raw = self.file_trust.raw();
-        let index = Arc::new(UserIndex::from_matrices(&[ft_raw, &dm_raw, &um_raw]));
-        let fm = {
-            let _span = obs.span("engine.recompute.fm_build");
-            let _trace = mdrep_obs::trace_span("engine.recompute.fm_build");
-            CsrMatrix::freeze_normalized_sharded(&index, ft_raw, threads)
-        };
-        let dm = {
-            let _span = obs.span("engine.recompute.dm_build");
-            let _trace = mdrep_obs::trace_span("engine.recompute.dm_build");
-            CsrMatrix::freeze_normalized_sharded(&index, &dm_raw, threads)
-        };
-        let um = {
-            let _span = obs.span("engine.recompute.um_build");
-            let _trace = mdrep_obs::trace_span("engine.recompute.um_build");
-            CsrMatrix::freeze_normalized_sharded(&index, &um_raw, threads)
-        };
-        let w = self.params.weights();
-        let tm = {
-            let _span = obs.span("engine.recompute.integrate");
-            let _trace = mdrep_obs::trace_span("engine.recompute.integrate");
-            blend_frozen(
-                &[(w.alpha(), &fm), (w.beta(), &dm), (w.gamma(), &um)],
-                threads,
-            )
-            .expect("validated weights form a convex combination")
-        };
-        let rm = ReputationMatrix::compute_csr(tm.clone(), &self.params);
-        Self::record_matrix_gauges(&tm, &rm);
-        // A batch rebuild materializes every matrix from scratch: the next
-        // snapshot shares nothing with the previous one.
-        self.last_publish_rows = index.len();
-        self.last_publish_bytes = fm.storage_bytes()
-            + dm.storage_bytes()
-            + um.storage_bytes()
-            + tm.storage_bytes()
-            + rm.approx_bytes();
-        self.rm = Some(rm);
-        self.components = Some(TrustComponents { fm, dm, um, tm });
-    }
-
-    /// The dirty-row path: recompute only invalidated rows in place. Every
-    /// per-row computation (pair accumulation, volume sums, normalization,
-    /// blending) goes through the same helpers as the batch path, in the
-    /// same order, so the patched matrices are bit-identical to a rebuild.
+    /// Rebuilds the matrix rows of one recompute. The row set is the
+    /// dirty union in [`RecomputeMode::Incremental`] and every known row
+    /// otherwise; both run the same three phases:
     ///
-    /// The row work is **shard-parallel**: the sorted dirty-row union is
-    /// partitioned into contiguous shard-owned ranges
-    /// ([`shard_ranges`]) and each range's `FM`/`DM`/`UM` rows *and* its
-    /// blended `TM` row are rebuilt by one worker in a single pass. Rows
-    /// are pure per-row functions of the (immutable during the pass)
-    /// stores, and the partition depends only on the union and
-    /// [`Params::threads`](crate::Params::threads) — so the merged result
-    /// is bit-identical to the serial loop at any shard/thread count.
-    fn rebuild_incremental(&mut self, now: SimTime) {
-        let obs = mdrep_obs::global();
+    /// 1. **Equation 2** (`fm_build`) — serial and stateful: the pair pass
+    ///    mutates the raw `FT` builder, over the dirty users or, from an
+    ///    empty `FT`, over everyone.
+    /// 2. **Rows** (`integrate`) — shard-parallel and pure: the row set is
+    ///    split into contiguous ranges ([`map_chunks`]) and one worker
+    ///    per range builds each row's `FM`/`DM`/`UM` rows and its blended
+    ///    `TM` row ([`RowSources::build_row`]). Rows are pure functions of
+    ///    the stores, which stay immutable during the pass, and the
+    ///    partition depends only on the row set and
+    ///    [`Params::threads`](crate::Params::threads) — so the result is
+    ///    bit-identical at any shard/thread count.
+    /// 3. **Sink** (`merge`) — dirty rows are patched into the previous
+    ///    matrices' copy-on-write overlays; all rows are written straight
+    ///    into fresh contiguous CSR arrays, shard range by shard range.
+    fn rebuild(&mut self, now: SimTime, mode: RecomputeMode) {
         let threads = self.params.effective_threads();
-        let mut comps = self
-            .components
-            .take()
-            .expect("incremental mode requires prior components");
-        let mut rm = self
-            .rm
-            .take()
-            .expect("incremental mode requires a prior RM");
+        let incremental = mode == RecomputeMode::Incremental;
 
-        // Phase 1 — serial, stateful: the Equation 2 pair re-accumulation
-        // mutates the raw FT builder, so it cannot shard. It returns the
-        // FM dirty set; the other stores just hand theirs over. All three
-        // are ascending.
         let fm_dirty = {
-            let _span = obs.span("engine.recompute.fm_build");
-            let _trace = mdrep_obs::trace_span("engine.recompute.fm_build");
-            self.file_trust
-                .apply_dirty(&self.evals, now, &self.params, self.file_trust_options)
+            let _phase = mdrep_obs::phase("engine.recompute.fm_build");
+            if incremental {
+                self.file_trust
+                    .apply_dirty(&self.evals, now, &self.params, self.file_trust_options)
+            } else {
+                self.file_trust.full_rebuild(
+                    &self.evals,
+                    now,
+                    &self.params,
+                    self.file_trust_options,
+                );
+                Vec::new()
+            }
         };
-        let dm_dirty = self.volume.take_dirty();
-        let um_dirty = self.user_trust.take_dirty();
+        // Each store's dirty rows (ascending). An incremental rebuild
+        // rebuilds exactly these and keeps every clean row in the previous
+        // matrices; a full rebuild rebuilds every row and drops the dirt.
+        let dirty_sets = [
+            fm_dirty,
+            self.volume.take_dirty(),
+            self.user_trust.take_dirty(),
+        ];
+        let dirty = if incremental {
+            Some((
+                dirty_sets,
+                self.components
+                    .take()
+                    .expect("incremental mode requires prior components"),
+                self.rm
+                    .take()
+                    .expect("incremental mode requires a prior RM"),
+            ))
+        } else {
+            self.dirty_files.clear();
+            None
+        };
+        let mut rows: Vec<UserId> = match &dirty {
+            Some((sets, ..)) => sets.concat(),
+            None => self
+                .file_trust
+                .raw()
+                .row_ids()
+                .chain(self.volume.rows())
+                .chain(self.user_trust.rows())
+                .collect(),
+        };
+        rows.sort_unstable();
+        rows.dedup();
 
-        let mut union: Vec<UserId> =
-            Vec::with_capacity(fm_dirty.len() + dm_dirty.len() + um_dirty.len());
-        union.extend_from_slice(&fm_dirty);
-        union.extend_from_slice(&dm_dirty);
-        union.extend_from_slice(&um_dirty);
-        union.sort_unstable();
-        union.dedup();
-
-        // Phase 2 — parallel, pure: rebuild every dirty row (and its blend)
-        // without touching the matrices. Workers own contiguous id ranges
-        // of the union; each consults the per-store dirty sets by binary
-        // search and reads undirtied component rows straight from the
-        // frozen matrices — exactly what the serial path would have read,
-        // because a row absent from a dirty set is never patched.
-        let patches: Vec<RowPatch> = {
-            let _span = obs.span("engine.recompute.integrate");
-            let _trace = mdrep_obs::trace_span("engine.recompute.integrate");
-            let w = self.params.weights();
-            let (ft, volume, user_trust, evals, params) = (
-                self.file_trust.raw(),
-                &self.volume,
-                &self.user_trust,
-                &self.evals,
-                &self.params,
-            );
-            let comps_ref = &comps;
-            let (fm_dirty, dm_dirty, um_dirty) = (&fm_dirty, &dm_dirty, &um_dirty);
-            let worker = move |rows: &[UserId]| -> Vec<RowPatch> {
-                rows.iter()
-                    .map(|&u| {
-                        let fm = fm_dirty.binary_search(&u).is_ok().then(|| {
-                            let mut row = ft.row(u).and_then(normalized_row).unwrap_or_default();
-                            row.retain(|_, v| *v != 0.0);
-                            Arc::new(row)
-                        });
-                        let dm = dm_dirty.binary_search(&u).is_ok().then(|| {
-                            let mut row = volume.vd_row(u, evals, now, params);
-                            if !normalize_row_mut(&mut row) {
-                                row.clear();
-                            }
-                            row.retain(|_, v| *v != 0.0);
-                            Arc::new(row)
-                        });
-                        let um = um_dirty.binary_search(&u).is_ok().then(|| {
-                            let mut row = user_trust.ut_row(u);
-                            if !normalize_row_mut(&mut row) {
-                                row.clear();
-                            }
-                            row.retain(|_, v| *v != 0.0);
-                            Arc::new(row)
-                        });
-                        // The Equation 7 blend over the *fresh* rows where
-                        // dirty and the frozen rows where not — the same
-                        // values `blend_row_frozen` would see after the
-                        // merge, accumulated in the same part order.
-                        let mut tm = mdrep_matrix::SparseVector::new();
-                        for (weight, fresh, frozen) in [
-                            (w.alpha(), &fm, &comps_ref.fm),
-                            (w.beta(), &dm, &comps_ref.dm),
-                            (w.gamma(), &um, &comps_ref.um),
-                        ] {
-                            if weight == 0.0 {
-                                continue;
-                            }
-                            match fresh {
-                                Some(row) => {
-                                    for (&c, &v) in row.iter() {
-                                        *tm.entry(c).or_insert(0.0) += weight * v;
-                                    }
-                                }
-                                None => {
-                                    for (c, v) in frozen.row_entries(u) {
-                                        *tm.entry(c).or_insert(0.0) += weight * v;
-                                    }
-                                }
-                            }
-                        }
-                        tm.retain(|_, v| *v != 0.0);
-                        RowPatch {
-                            user: u,
-                            fm,
-                            dm,
-                            um,
-                            tm: Arc::new(tm),
-                        }
+        let every_row = RowSources {
+            ft: self.file_trust.raw(),
+            volume: &self.volume,
+            user_trust: &self.user_trust,
+            evals: &self.evals,
+            params: &self.params,
+            now,
+            dirty: None,
+        };
+        let (components, rm) = match dirty {
+            Some((sets, mut comps, mut rm)) => {
+                let patches: Vec<RowPatch> = {
+                    let _phase = mdrep_obs::phase("engine.recompute.integrate");
+                    let sources = RowSources {
+                        dirty: Some((&sets, &comps)),
+                        ..every_row
+                    };
+                    map_chunks(&rows, threads, |shard| {
+                        shard
+                            .iter()
+                            .map(|&u| sources.build_row(u).into_patch(u))
+                            .collect::<Vec<_>>()
                     })
+                    .into_iter()
+                    .flatten()
                     .collect()
-            };
-            if threads == 1 || union.len() < 2 * threads {
-                worker(&union)
-            } else {
-                let worker = &worker;
-                let union = &union;
-                let partials: Vec<Vec<RowPatch>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = shard_ranges(union.len(), threads)
-                        .into_iter()
-                        .map(|range| scope.spawn(move || worker(&union[range])))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("dirty-recompute shard panicked"))
-                        .collect()
-                });
-                partials.into_iter().flatten().collect()
+                };
+                // Fold the prebuilt slabs into the CSR overlays in
+                // ascending id order, tallying the copy-on-write publish
+                // cost (only these slabs are new bytes in the next
+                // snapshot; everything else is shared).
+                let _phase = mdrep_obs::phase("engine.recompute.merge");
+                let mut publish_bytes = 0usize;
+                let one_step = self.params.steps() == 1;
+                for patch in patches {
+                    let u = patch.user;
+                    let matrices = [&mut comps.fm, &mut comps.dm, &mut comps.um];
+                    for (matrix, part) in matrices.into_iter().zip(patch.parts) {
+                        if let Some(row) = part {
+                            publish_bytes += approx_row_bytes(row.len());
+                            matrix.set_row_arc(u, row);
+                        }
+                    }
+                    // One slab serves both matrices on the one-step path
+                    // (overlay rows are immutable), so it is priced once.
+                    publish_bytes += approx_row_bytes(patch.tm.len());
+                    if one_step {
+                        // RM = TM: patch both from the same blended slab.
+                        comps.tm.set_row_arc(u, Arc::clone(&patch.tm));
+                        rm.set_one_step_row_arc(u, patch.tm);
+                    } else {
+                        comps.tm.set_row_arc(u, patch.tm);
+                    }
+                }
+                if !one_step {
+                    // The power dominates the cost anyway; recompute it from
+                    // the incrementally maintained TM (compacted inside
+                    // `compute_csr` before the SpGEMM steps). The rebuilt RM
+                    // is fresh storage.
+                    rm = ReputationMatrix::compute_csr(comps.tm.clone(), &self.params);
+                    publish_bytes += rm.approx_bytes();
+                }
+                self.last_publish_rows = rows.len();
+                self.last_publish_bytes = publish_bytes;
+                (comps, rm)
+            }
+            None => {
+                let shards: Vec<[RowRun; 4]> = {
+                    let _phase = mdrep_obs::phase("engine.recompute.integrate");
+                    map_chunks(&rows, threads, |shard| {
+                        // Sized up front to the stores' row lengths, an
+                        // upper bound on every run: runs grown by doubling
+                        // on the workers fragment their allocator arenas and
+                        // hold the process's peak RSS well above the data.
+                        let mut bounds = [0usize; 3];
+                        for &u in shard {
+                            bounds[0] += every_row.ft.row(u).map_or(0, SparseVector::len);
+                            bounds[1] += every_row.volume.uploader_count(u);
+                            bounds[2] += every_row.user_trust.rating_count(u);
+                        }
+                        let [fm, dm, um] = bounds;
+                        let mut runs = [fm, dm, um, fm + dm + um].map(RowRun::with_capacity);
+                        for &u in shard {
+                            let row = every_row.build_row(u);
+                            for (run, part) in runs.iter_mut().zip(row.parts) {
+                                run.push_row(u, part.expect("every row is rebuilt"));
+                            }
+                            runs[3].push_row(u, row.tm);
+                        }
+                        runs
+                    })
+                };
+                let _phase = mdrep_obs::phase("engine.recompute.merge");
+                // One shared interner over every id FM, DM and UM
+                // reference, so the blend and power kernels see one dense
+                // column space (TM's ids are a subset).
+                let index = Arc::new(UserIndex::from_ids(
+                    shards
+                        .iter()
+                        .flat_map(|shard| shard[..3].iter().flat_map(RowRun::ids)),
+                ));
+                let mut per_matrix: [Vec<RowRun>; 4] = Default::default();
+                for shard in shards {
+                    for (runs, run) in per_matrix.iter_mut().zip(shard) {
+                        runs.push(run);
+                    }
+                }
+                let [fm, dm, um, tm] =
+                    per_matrix.map(|runs| CsrMatrix::from_row_runs(&index, runs));
+                let rm = ReputationMatrix::compute_csr(tm.clone(), &self.params);
+                // Every matrix was materialized from scratch: the next
+                // snapshot shares nothing with the previous one.
+                self.last_publish_rows = index.len();
+                self.last_publish_bytes = fm.storage_bytes()
+                    + dm.storage_bytes()
+                    + um.storage_bytes()
+                    + tm.storage_bytes()
+                    + rm.approx_bytes();
+                (TrustComponents { fm, dm, um, tm }, rm)
             }
         };
-
-        // Phase 3 — serial merge: fold the prebuilt slabs into the CSR
-        // overlays in ascending id order, tallying the copy-on-write
-        // publish cost (only these slabs are new bytes in the next
-        // snapshot; everything else is shared).
-        let _merge_span = obs.span("engine.recompute.merge");
-        let _merge_trace = mdrep_obs::trace_span("engine.recompute.merge");
-        let mut publish_bytes = 0usize;
-        let one_step = self.params.steps() == 1;
-        for patch in patches {
-            let u = patch.user;
-            if let Some(row) = patch.fm {
-                publish_bytes += row_slab_bytes(row.len());
-                comps.fm.set_row_arc(u, row);
-            }
-            if let Some(row) = patch.dm {
-                publish_bytes += row_slab_bytes(row.len());
-                comps.dm.set_row_arc(u, row);
-            }
-            if let Some(row) = patch.um {
-                publish_bytes += row_slab_bytes(row.len());
-                comps.um.set_row_arc(u, row);
-            }
-            // One slab serves both matrices on the one-step path (overlay
-            // rows are immutable), so it is priced once.
-            publish_bytes += row_slab_bytes(patch.tm.len());
-            if one_step {
-                // RM = TM: patch both from the same blended slab.
-                comps.tm.set_row_arc(u, Arc::clone(&patch.tm));
-                rm.set_one_step_row_arc(u, patch.tm);
-            } else {
-                comps.tm.set_row_arc(u, patch.tm);
-            }
-        }
-        if !one_step {
-            // The power dominates the cost anyway; recompute it from the
-            // incrementally maintained TM (compacted inside `compute_csr`
-            // before the SpGEMM steps). The rebuilt RM is fresh storage.
-            rm = ReputationMatrix::compute_csr(comps.tm.clone(), &self.params);
-            publish_bytes += rm.approx_bytes();
-        }
-        self.last_publish_rows = union.len();
-        self.last_publish_bytes = publish_bytes;
-        Self::record_matrix_gauges(&comps.tm, &rm);
+        Self::record_matrix_gauges(&components.tm, &rm);
         self.rm = Some(rm);
-        self.components = Some(comps);
+        self.components = Some(components);
     }
 
     fn record_matrix_gauges(tm: &CsrMatrix, rm: &ReputationMatrix) {
@@ -704,7 +708,7 @@ impl ReputationEngine {
 
     /// Rows the last recompute materialized fresh — the only slabs the
     /// next copy-on-write snapshot cannot share with its predecessor. A
-    /// batch rebuild reports every interned row; the incremental path
+    /// rebuild of every row reports every interned row; a dirty-row rebuild
     /// reports the dirty union.
     #[must_use]
     pub fn last_publish_rows(&self) -> usize {

@@ -100,7 +100,8 @@ impl FileTrust {
         Self::compute_with(store, now, params, FileTrustOptions::default())
     }
 
-    /// Computes Equation 2 with explicit options.
+    /// Computes Equation 2 with explicit options: the Equation 2 pass of
+    /// [`FileTrustState::full_rebuild`], from an empty `FT`.
     ///
     /// The pair enumeration runs over the store's inverted file index:
     /// every file contributes its evaluator pairs, so the cost is
@@ -112,32 +113,9 @@ impl FileTrust {
         params: &Params,
         options: FileTrustOptions,
     ) -> Self {
-        // Snapshot Equation 1 evaluations once per (user, file).
-        let mut snapshots: Snapshots = HashMap::new();
-        for user in store.users() {
-            snapshots.insert(user, store.evaluations_of(user, now, params));
-        }
-
-        // Accumulate pairwise distances over common files. Files iterate in
-        // ascending id order, so every pair's sum accumulates in the same
-        // order the dirty-row path uses — the results are bit-identical.
-        let mut acc: PairAcc = HashMap::new();
-        for file in store.files() {
-            let evaluators = capped_evaluators(store, file, options);
-            for (idx, &a) in evaluators.iter().enumerate() {
-                let ea = snapshots[&a][&file];
-                for &b in &evaluators[idx + 1..] {
-                    let eb = snapshots[&b][&file];
-                    accumulate_pair(&mut acc, options.metric, a, ea, b, eb);
-                }
-            }
-        }
-
-        let mut ft = SparseMatrix::new();
-        for ((a, b), (sum, m)) in acc {
-            set_pair_trust(&mut ft, options.metric, a, b, sum, m);
-        }
-        Self { ft }
+        let mut state = FileTrustState::new();
+        state.full_rebuild(store, now, params, options);
+        Self { ft: state.ft }
     }
 
     /// The raw symmetric `FT` matrix (Equation 2).
@@ -159,8 +137,8 @@ type Snapshots = HashMap<UserId, BTreeMap<FileId, Evaluation>>;
 type PairAcc = HashMap<(UserId, UserId), (f64, usize)>;
 
 /// The evaluators considered for `file`, in ascending user order, truncated
-/// to the configured cap. Both the batch and the dirty-row path pair users
-/// out of exactly this prefix.
+/// to the configured cap. Eligible users are paired out of exactly this
+/// prefix.
 fn capped_evaluators(
     store: &EvaluationStore,
     file: FileId,
@@ -215,9 +193,9 @@ fn set_pair_trust(
 /// removals dirty the removed user plus its current `FT` partners. Under
 /// that contract, a pair with at least one clean endpoint is guaranteed
 /// unchanged, so [`apply_dirty`](Self::apply_dirty) only recomputes
-/// dirty–dirty pairs — from scratch, over all their common files, in the
-/// same ascending file order as the batch path, which makes the incremental
-/// result bit-identical to [`FileTrust::compute_with`].
+/// dirty–dirty pairs — from scratch, over all their common files, through
+/// the same pass as [`full_rebuild`](Self::full_rebuild), which makes the
+/// incremental result bit-identical to [`FileTrust::compute_with`].
 #[derive(Debug, Clone, Default)]
 pub struct FileTrustState {
     ft: SparseMatrix,
@@ -257,18 +235,14 @@ impl FileTrustState {
         self.dirty.insert(user);
     }
 
-    /// Number of currently dirty users.
-    #[must_use]
-    pub fn dirty_len(&self) -> usize {
-        self.dirty.len()
-    }
-
     /// The currently dirty users, in ascending order.
     pub fn dirty(&self) -> impl Iterator<Item = UserId> + '_ {
         self.dirty.iter().copied()
     }
 
-    /// Rebuilds `FT` from scratch (the batch path) and clears the dirty set.
+    /// Rebuilds `FT` from scratch and clears the dirty set: the Equation 2
+    /// pass with every evaluator eligible, starting from an empty `FT`, so
+    /// there is nothing to remove and no dirty set to filter by.
     pub fn full_rebuild(
         &mut self,
         store: &EvaluationStore,
@@ -277,7 +251,8 @@ impl FileTrustState {
         options: FileTrustOptions,
     ) {
         self.dirty.clear();
-        self.ft = FileTrust::compute_with(store, now, params, options).ft;
+        self.ft = SparseMatrix::new();
+        accumulate_pairs(&mut self.ft, store, now, params, options, None);
     }
 
     /// Recomputes exactly the dirty–dirty pairs in place and drains the
@@ -294,13 +269,6 @@ impl FileTrustState {
         if dirty.is_empty() {
             return Vec::new();
         }
-
-        // Snapshot Equation 1 only for dirty users — only dirty–dirty pairs
-        // are recomputed, and both of their endpoints are dirty.
-        let snapshots: Snapshots = dirty
-            .iter()
-            .map(|&u| (u, store.evaluations_of(u, now, params)))
-            .collect();
 
         // Drop every dirty–dirty entry; unchanged pairs (one clean
         // endpoint) are left alone.
@@ -320,34 +288,65 @@ impl FileTrustState {
                 self.ft.remove(j, i);
             }
         }
+        accumulate_pairs(&mut self.ft, store, now, params, options, Some(&dirty));
+        dirty.into_iter().collect()
+    }
+}
 
-        // Re-accumulate over the union of the dirty users' files, ascending
-        // — the same per-pair accumulation order as the batch path.
-        let files: BTreeSet<FileId> = dirty.iter().flat_map(|&u| store.files_of(u)).collect();
-        let mut acc: PairAcc = HashMap::new();
-        for &file in &files {
-            let evaluators = capped_evaluators(store, file, options);
-            let dirty_idx: Vec<usize> = evaluators
+/// The Equation 2 pass: accumulates every pair whose endpoints are both
+/// eligible — every evaluator when `eligible` is `None`, else the listed
+/// users — over their common files in ascending file order, and writes the
+/// pairs into `ft`. A full rebuild and a dirty-row rebuild run this one
+/// loop, so every pair sums its files in the same order either way and the
+/// results are bit-identical.
+fn accumulate_pairs(
+    ft: &mut SparseMatrix,
+    store: &EvaluationStore,
+    now: SimTime,
+    params: &Params,
+    options: FileTrustOptions,
+    eligible: Option<&BTreeSet<UserId>>,
+) {
+    let _phase = mdrep_obs::phase("engine.eq2.pairs");
+    // Equation 1 snapshots, once per (user, file), for eligible users only:
+    // both endpoints of every accumulated pair are eligible.
+    let (snapshots, files): (Snapshots, Vec<FileId>) = match eligible {
+        None => (
+            store
+                .users()
+                .map(|u| (u, store.evaluations_of(u, now, params)))
+                .collect(),
+            store.files().collect(),
+        ),
+        Some(users) => (
+            users
                 .iter()
-                .enumerate()
-                .filter(|(_, u)| dirty.contains(u))
-                .map(|(i, _)| i)
-                .collect();
-            for (pos, &ia) in dirty_idx.iter().enumerate() {
-                let a = evaluators[ia];
-                let ea = snapshots[&a][&file];
-                for &ib in &dirty_idx[pos + 1..] {
-                    let b = evaluators[ib];
-                    let eb = snapshots[&b][&file];
-                    accumulate_pair(&mut acc, options.metric, a, ea, b, eb);
-                }
+                .map(|&u| (u, store.evaluations_of(u, now, params)))
+                .collect(),
+            users
+                .iter()
+                .flat_map(|&u| store.files_of(u))
+                .collect::<BTreeSet<FileId>>()
+                .into_iter()
+                .collect(),
+        ),
+    };
+    let mut acc: PairAcc = HashMap::new();
+    for file in files {
+        let mut evaluators = capped_evaluators(store, file, options);
+        if let Some(users) = eligible {
+            evaluators.retain(|u| users.contains(u));
+        }
+        for (idx, &a) in evaluators.iter().enumerate() {
+            let ea = snapshots[&a][&file];
+            for &b in &evaluators[idx + 1..] {
+                let eb = snapshots[&b][&file];
+                accumulate_pair(&mut acc, options.metric, a, ea, b, eb);
             }
         }
-        for ((a, b), (sum, m)) in acc {
-            set_pair_trust(&mut self.ft, options.metric, a, b, sum, m);
-        }
-
-        dirty.into_iter().collect()
+    }
+    for ((a, b), (sum, m)) in acc {
+        set_pair_trust(ft, options.metric, a, b, sum, m);
     }
 }
 
@@ -532,7 +531,7 @@ mod tests {
         state.mark_dirty_many(store.evaluators_of(f(2)));
         let processed = state.apply_dirty(&store, SimTime::ZERO, &params, options);
         assert_eq!(processed, vec![u(0), u(1), u(2)]);
-        assert_eq!(state.dirty_len(), 0);
+        assert_eq!(state.dirty().count(), 0);
 
         let batch = FileTrust::compute(&store, SimTime::ZERO, &params);
         for (r, c, v) in batch.raw().iter() {

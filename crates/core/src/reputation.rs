@@ -83,13 +83,11 @@ impl ReputationMatrix {
         let mut tiers = Vec::with_capacity(n as usize);
         tiers.push(base.clone());
         let threads = params.effective_threads();
-        let obs = mdrep_obs::global();
         for _ in 1..n {
             let prev = tiers.last().expect("non-empty");
             // Large products fan out across cores; small ones stay serial.
             let next = {
-                let _span = obs.span("engine.recompute.matrix_power");
-                let _trace = mdrep_obs::trace_span("engine.recompute.matrix_power");
+                let _phase = mdrep_obs::phase("engine.recompute.matrix_power");
                 let t = if prev.nnz() > 20_000 { threads } else { 1 };
                 prev.multiply_step(&base, options, t)
             };

@@ -438,8 +438,8 @@ impl ShardedEngine {
         self.epoch_inner(now, false)
     }
 
-    /// Like [`recompute_epoch`](Self::recompute_epoch) but forces a batch
-    /// rebuild of every matrix.
+    /// Like [`recompute_epoch`](Self::recompute_epoch) but forces a
+    /// rebuild of every row.
     pub fn full_rebuild_epoch(&self, now: SimTime) -> u64 {
         self.epoch_inner(now, true)
     }

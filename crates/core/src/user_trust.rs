@@ -5,11 +5,12 @@
 //! ordered pair is kept as `UT_ij`, and row-normalization yields the
 //! one-step matrix `UM` (Equation 6).
 
-use mdrep_matrix::{normalized_row, SparseMatrix, SparseVector};
+use mdrep_matrix::SparseVector;
 use mdrep_types::{Evaluation, UserId};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Accumulates user-to-user ratings and computes `UT`/`UM`.
+/// Accumulates user-to-user ratings and computes the `UT` rows `UM`
+/// normalizes.
 ///
 /// # Examples
 ///
@@ -21,9 +22,9 @@ use std::collections::{BTreeMap, BTreeSet};
 /// let (a, b, c) = (UserId::new(0), UserId::new(1), UserId::new(2));
 /// ut.add_friend(a, b);          // friend list → trust 1
 /// ut.add_blacklist(a, c);       // blacklist → trust 0
-/// let um = ut.matrix();
-/// assert_eq!(um.get(a, b), 1.0);
-/// assert_eq!(um.get(a, c), 0.0);
+/// let um_a = mdrep_matrix::normalized_row(&ut.ut_row(a)).unwrap();
+/// assert_eq!(um_a.get(&b), Some(&1.0));
+/// assert_eq!(um_a.get(&c), None);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct UserTrust {
@@ -83,12 +84,6 @@ impl UserTrust {
         self.dirty.insert(user);
     }
 
-    /// Number of currently dirty rows.
-    #[must_use]
-    pub fn dirty_len(&self) -> usize {
-        self.dirty.len()
-    }
-
     /// The currently dirty rows, in ascending order.
     pub fn dirty(&self) -> impl Iterator<Item = UserId> + '_ {
         self.dirty.iter().copied()
@@ -99,21 +94,23 @@ impl UserTrust {
         std::mem::take(&mut self.dirty).into_iter().collect()
     }
 
-    /// Clears the dirty set (after a full rebuild).
-    pub fn clear_dirty(&mut self) {
-        self.dirty.clear();
-    }
-
-    /// Number of stored ratings.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.ratings.values().map(BTreeMap::len).sum()
-    }
-
     /// Number of raters with at least one stored rating.
     #[must_use]
     pub fn row_count(&self) -> usize {
         self.ratings.len()
+    }
+
+    /// The raters with at least one stored rating, ascending — every row
+    /// `UT` can have.
+    pub fn rows(&self) -> impl Iterator<Item = UserId> + '_ {
+        self.ratings.keys().copied()
+    }
+
+    /// Ratings `rater` has stored — an upper bound on the length of its
+    /// `UT` row.
+    #[must_use]
+    pub fn rating_count(&self, rater: UserId) -> usize {
+        self.ratings.get(&rater).map_or(0, BTreeMap::len)
     }
 
     /// Whether no ratings are stored.
@@ -125,7 +122,7 @@ impl UserTrust {
     /// One row of the raw `UT` matrix: `rater`'s positive ratings. Zero
     /// ratings (blacklist entries) are absent from the sparse form —
     /// exactly their Equation 6 semantics, since a zero contributes nothing
-    /// to the normalized row. Shared by the batch and dirty-row paths.
+    /// to the normalized row. Every `UM` rebuild normalizes this row.
     #[must_use]
     pub fn ut_row(&self, rater: UserId) -> SparseVector {
         self.ratings
@@ -139,33 +136,23 @@ impl UserTrust {
             })
             .unwrap_or_default()
     }
-
-    /// The raw `UT` matrix.
-    #[must_use]
-    pub fn raw(&self) -> SparseMatrix {
-        let mut ut = SparseMatrix::new();
-        for &rater in self.ratings.keys() {
-            ut.set_row(rater, self.ut_row(rater)).expect("in [0,1]");
-        }
-        ut
-    }
-
-    /// Equation 6: the row-normalized one-step matrix `UM`.
-    #[must_use]
-    pub fn matrix(&self) -> SparseMatrix {
-        let mut um = SparseMatrix::new();
-        for &rater in self.ratings.keys() {
-            if let Some(row) = normalized_row(&self.ut_row(rater)) {
-                um.set_row(rater, row).expect("normalized rows are valid");
-            }
-        }
-        um
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdrep_matrix::{normalized_row, SparseMatrix};
+
+    /// Equation 6 assembled row by row, the way the engine builds `UM`.
+    fn um(ut: &UserTrust) -> SparseMatrix {
+        let mut m = SparseMatrix::new();
+        for rater in ut.rows() {
+            if let Some(row) = normalized_row(&ut.ut_row(rater)) {
+                m.set_row(rater, row).expect("normalized rows are valid");
+            }
+        }
+        m
+    }
 
     fn u(i: u64) -> UserId {
         UserId::new(i)
@@ -177,7 +164,7 @@ mod tests {
         ut.rate(u(0), u(1), Evaluation::new(0.8).unwrap());
         assert_eq!(ut.rating(u(0), u(1)).unwrap().value(), 0.8);
         assert_eq!(ut.rating(u(1), u(0)), None);
-        assert_eq!(ut.len(), 1);
+        assert_eq!(ut.rating_count(u(0)), 1);
     }
 
     #[test]
@@ -186,7 +173,7 @@ mod tests {
         ut.rate(u(0), u(1), Evaluation::BEST);
         ut.rate(u(0), u(1), Evaluation::new(0.2).unwrap());
         assert_eq!(ut.rating(u(0), u(1)).unwrap().value(), 0.2);
-        assert_eq!(ut.len(), 1);
+        assert_eq!(ut.rating_count(u(0)), 1);
     }
 
     #[test]
@@ -202,7 +189,7 @@ mod tests {
         let mut ut = UserTrust::new();
         ut.rate(u(0), u(1), Evaluation::new(0.6).unwrap());
         ut.rate(u(0), u(2), Evaluation::new(0.2).unwrap());
-        let um = ut.matrix();
+        let um = um(&ut);
         assert!(um.is_row_stochastic(1e-12));
         assert!((um.get(u(0), u(1)) - 0.75).abs() < 1e-12);
         assert!((um.get(u(0), u(2)) - 0.25).abs() < 1e-12);
@@ -213,7 +200,7 @@ mod tests {
         let mut ut = UserTrust::new();
         ut.add_friend(u(0), u(1));
         ut.add_blacklist(u(0), u(2));
-        let um = ut.matrix();
+        let um = um(&ut);
         assert_eq!(um.get(u(0), u(1)), 1.0);
         assert_eq!(um.get(u(0), u(2)), 0.0);
     }
@@ -223,7 +210,7 @@ mod tests {
         let mut ut = UserTrust::new();
         ut.add_friend(u(0), u(1));
         ut.add_blacklist(u(0), u(1));
-        assert_eq!(ut.matrix().get(u(0), u(1)), 0.0);
+        assert_eq!(um(&ut).get(u(0), u(1)), 0.0);
     }
 
     #[test]
@@ -233,7 +220,7 @@ mod tests {
         ut.add_friend(u(1), u(2));
         ut.add_friend(u(2), u(0));
         ut.remove_user(u(1));
-        assert_eq!(ut.len(), 1);
+        assert_eq!((ut.rating_count(u(0)), ut.rating_count(u(2))), (0, 1));
         assert!(ut.rating(u(2), u(0)).is_some());
     }
 
@@ -243,7 +230,7 @@ mod tests {
         ut.rate(u(0), u(1), Evaluation::BEST);
         ut.rate(u(2), u(1), Evaluation::BEST);
         assert_eq!(ut.take_dirty(), vec![u(0), u(2)]);
-        assert_eq!(ut.dirty_len(), 0);
+        assert_eq!(ut.dirty().count(), 0);
 
         // Removing a rated user dirties every rater that pointed at it.
         ut.remove_user(u(1));
@@ -251,19 +238,25 @@ mod tests {
         assert_eq!(ut.row_count(), 0);
 
         ut.rate(u(0), u(0), Evaluation::BEST);
-        assert_eq!(ut.dirty_len(), 0, "ignored self-rating does not dirty");
+        assert_eq!(ut.dirty().count(), 0, "ignored self-rating does not dirty");
     }
 
     #[test]
-    fn ut_row_matches_matrix_row() {
+    fn ut_row_skips_blacklist_entries() {
         let mut ut = UserTrust::new();
         ut.rate(u(0), u(1), Evaluation::new(0.6).unwrap());
         ut.rate(u(0), u(2), Evaluation::new(0.2).unwrap());
         ut.add_blacklist(u(0), u(3));
         let row = ut.ut_row(u(0));
         assert_eq!(row.len(), 2, "blacklist entry absent");
-        let um = ut.matrix();
-        assert_eq!(um.row(u(0)), normalized_row(&row).as_ref());
+        assert_eq!(
+            ut.rating_count(u(0)),
+            3,
+            "the blacklist entry is still a rating"
+        );
+        assert_eq!(ut.rating_count(u(1)), 0);
+        assert_eq!(row.get(&u(1)), Some(&0.6));
+        assert_eq!(ut.rows().collect::<Vec<_>>(), vec![u(0)]);
     }
 
     #[test]
@@ -271,7 +264,7 @@ mod tests {
         let mut ut = UserTrust::new();
         ut.add_blacklist(u(0), u(1));
         ut.add_blacklist(u(0), u(2));
-        let um = ut.matrix();
+        let um = um(&ut);
         assert!(um.is_empty());
     }
 }

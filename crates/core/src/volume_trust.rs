@@ -9,11 +9,12 @@
 
 use crate::eval::EvaluationStore;
 use crate::params::Params;
-use mdrep_matrix::{build_rows_parallel, normalized_row, SparseMatrix, SparseVector};
+use mdrep_matrix::{SparseMatrix, SparseVector};
 use mdrep_types::{FileId, FileSize, SimTime, UserId};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Accumulates download records and computes `VD`/`DM`.
+/// Accumulates download records and computes `VD` (Equation 4), the rows
+/// `DM` normalizes.
 ///
 /// # Examples
 ///
@@ -90,12 +91,6 @@ impl VolumeTrust {
         self.dirty.insert(downloader);
     }
 
-    /// Number of currently dirty rows.
-    #[must_use]
-    pub fn dirty_len(&self) -> usize {
-        self.dirty.len()
-    }
-
     /// The currently dirty rows, in ascending order.
     pub fn dirty(&self) -> impl Iterator<Item = UserId> + '_ {
         self.dirty.iter().copied()
@@ -106,27 +101,29 @@ impl VolumeTrust {
         std::mem::take(&mut self.dirty).into_iter().collect()
     }
 
-    /// Clears the dirty set (after a full rebuild).
-    pub fn clear_dirty(&mut self) {
-        self.dirty.clear();
-    }
-
-    /// Number of recorded download edges (distinct user pairs).
-    #[must_use]
-    pub fn pair_count(&self) -> usize {
-        self.downloads.values().map(BTreeMap::len).sum()
-    }
-
     /// Number of downloaders with at least one recorded download.
     #[must_use]
     pub fn row_count(&self) -> usize {
         self.downloads.len()
     }
 
+    /// The downloaders with at least one recorded download, ascending —
+    /// every row `VD` can have.
+    pub fn rows(&self) -> impl Iterator<Item = UserId> + '_ {
+        self.downloads.keys().copied()
+    }
+
+    /// Distinct uploaders `downloader` fetched from — an upper bound on
+    /// the length of its `VD` row.
+    #[must_use]
+    pub fn uploader_count(&self, downloader: UserId) -> usize {
+        self.downloads.get(&downloader).map_or(0, BTreeMap::len)
+    }
+
     /// One row of Equation 4: `downloader`'s valid download volume per
-    /// uploader at `now`. Shared by the batch and dirty-row paths so both
-    /// accumulate in the same order (uploaders ascending, files in download
-    /// order) and produce bit-identical rows.
+    /// uploader at `now`, accumulated in a fixed order (uploaders
+    /// ascending, files in download order) — the row every `DM` rebuild
+    /// normalizes.
     #[must_use]
     pub fn vd_row(
         &self,
@@ -157,54 +154,12 @@ impl VolumeTrust {
     /// (files the downloader no longer has a record for contribute nothing).
     #[must_use]
     pub fn raw(&self, evals: &EvaluationStore, now: SimTime, params: &Params) -> SparseMatrix {
-        self.raw_parallel(evals, now, params, 1)
-    }
-
-    /// [`raw`](Self::raw) built across `threads` OS threads (rows are
-    /// independent, so any thread count yields the identical matrix).
-    #[must_use]
-    pub fn raw_parallel(
-        &self,
-        evals: &EvaluationStore,
-        now: SimTime,
-        params: &Params,
-        threads: usize,
-    ) -> SparseMatrix {
-        let rows: Vec<UserId> = self.downloads.keys().copied().collect();
-        let built = build_rows_parallel(&rows, threads, |r| self.vd_row(r, evals, now, params));
         let mut vd = SparseMatrix::new();
-        for (r, row) in built {
-            vd.set_row(r, row)
+        for downloader in self.rows() {
+            vd.set_row(downloader, self.vd_row(downloader, evals, now, params))
                 .expect("volumes are finite and non-negative");
         }
         vd
-    }
-
-    /// Equation 5: the row-normalized one-step matrix `DM`.
-    #[must_use]
-    pub fn matrix(&self, evals: &EvaluationStore, now: SimTime, params: &Params) -> SparseMatrix {
-        self.matrix_parallel(evals, now, params, 1)
-    }
-
-    /// [`matrix`](Self::matrix) built across `threads` OS threads (rows are
-    /// independent, so any thread count yields the identical matrix).
-    #[must_use]
-    pub fn matrix_parallel(
-        &self,
-        evals: &EvaluationStore,
-        now: SimTime,
-        params: &Params,
-        threads: usize,
-    ) -> SparseMatrix {
-        let rows: Vec<UserId> = self.downloads.keys().copied().collect();
-        let built = build_rows_parallel(&rows, threads, |r| {
-            normalized_row(&self.vd_row(r, evals, now, params)).unwrap_or_default()
-        });
-        let mut dm = SparseMatrix::new();
-        for (r, row) in built {
-            dm.set_row(r, row).expect("normalized rows are valid");
-        }
-        dm
     }
 }
 
@@ -266,7 +221,7 @@ mod tests {
             evals.record_vote(SimTime::ZERO, u(0), file, Evaluation::BEST);
             vt.record_download(u(0), u(uploader), file, FileSize::from_mib(mib));
         }
-        let dm = vt.matrix(&evals, SimTime::ZERO, &params);
+        let dm = vt.raw(&evals, SimTime::ZERO, &params).normalized_rows();
         assert!(dm.is_row_stochastic(1e-12));
         assert!((dm.get(u(0), u(1)) - 0.75).abs() < 1e-12);
         assert!((dm.get(u(0), u(2)) - 0.25).abs() < 1e-12);
@@ -302,9 +257,9 @@ mod tests {
         evals.record_vote(SimTime::ZERO, u(0), f(0), Evaluation::BEST);
         vt.record_download(u(0), u(1), f(0), FileSize::from_mib(10));
         vt.record_download(u(1), u(0), f(0), FileSize::from_mib(10));
-        assert_eq!(vt.pair_count(), 2);
+        assert_eq!((vt.uploader_count(u(0)), vt.uploader_count(u(1))), (1, 1));
         vt.remove_user(u(1));
-        assert_eq!(vt.pair_count(), 0);
+        assert_eq!((vt.uploader_count(u(0)), vt.uploader_count(u(1))), (0, 0));
         assert!(vt.raw(&evals, SimTime::ZERO, &params).is_empty());
     }
 
@@ -325,7 +280,7 @@ mod tests {
         let mut vt = VolumeTrust::new();
         vt.record_download(u(0), u(1), f(0), FileSize::from_mib(10));
         assert_eq!(vt.take_dirty(), vec![u(0)]);
-        assert_eq!(vt.dirty_len(), 0);
+        assert_eq!(vt.dirty().count(), 0);
 
         vt.record_download(u(2), u(1), f(1), FileSize::from_mib(10));
         vt.mark_dirty(u(0)); // e.g. user 0 voted on a file
@@ -338,7 +293,7 @@ mod tests {
     }
 
     #[test]
-    fn vd_row_and_parallel_matrix_match_batch() {
+    fn rows_and_vd_rows_make_up_raw() {
         let (mut evals, params) = setup();
         let mut vt = VolumeTrust::new();
         for i in 0..20u64 {
@@ -352,14 +307,21 @@ mod tests {
             );
             vt.record_download(u(i % 5), u(10 + i % 3), file, FileSize::from_mib(5 + i));
         }
-        let serial = vt.matrix(&evals, SimTime::ZERO, &params);
-        let parallel = vt.matrix_parallel(&evals, SimTime::ZERO, &params, 4);
-        assert_eq!(serial, parallel);
-        for r in serial.row_ids() {
+        let raw = vt.raw(&evals, SimTime::ZERO, &params);
+        assert_eq!(
+            vt.rows().collect::<Vec<_>>(),
+            (0..5).map(u).collect::<Vec<_>>()
+        );
+        for r in vt.rows() {
             let row = vt.vd_row(r, &evals, SimTime::ZERO, &params);
-            let normalized = mdrep_matrix::normalized_row(&row).unwrap();
-            assert_eq!(serial.row(r), Some(&normalized), "shared row helper");
+            assert_eq!(raw.row(r), Some(&row), "raw is the vd_row of every row");
+            assert_eq!(
+                vt.uploader_count(r),
+                3,
+                "every downloader used three uploaders"
+            );
         }
+        assert_eq!(vt.uploader_count(u(10)), 0, "uploaders have no row");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! Set `CRITERION_JSON_OUT=<path>` (or pass `--metrics-out <path>` to the
 //! bench binary) to additionally write every measured **minimum** as a JSON
 //! object `{"bench/name": min_ns, ...}` — the workspace's checked-in
-//! baselines (`BENCH_obs.json`, `BENCH_incremental.json`, …) are produced
+//! baselines (`BENCH_throughput.json`, `BENCH_incremental.json`, …) are produced
 //! that way. The digest uses the fastest sample rather than the mean
 //! because CI gates on it with few samples: timing noise on a busy runner
 //! is strictly additive (preemption only ever slows an iteration down), so

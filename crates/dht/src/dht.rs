@@ -824,8 +824,7 @@ impl Dht {
     /// global [`mdrep_obs`] registry.
     fn iterative_find(&mut self, origin: NodeId, key: Key, now: SimTime) -> LookupResult {
         let obs = mdrep_obs::global();
-        let _span = obs.span("dht.lookup.time");
-        let mut trace = mdrep_obs::trace_span("dht.lookup.find");
+        let mut phase = mdrep_obs::phase("dht.lookup.time");
         obs.counter_inc("dht.lookup.count");
         let mut hops = 0u64;
         let mut timeouts = 0u64;
@@ -904,8 +903,8 @@ impl Dht {
         obs.counter_add("dht.lookup.hops", hops);
         obs.counter_add("dht.lookup.timeouts", timeouts);
         obs.histogram_record("dht.lookup.hops_per_lookup", hops as f64);
-        trace.annotate("hops", hops.to_string());
-        trace.annotate("timeouts", timeouts.to_string());
+        phase.annotate("hops", hops.to_string());
+        phase.annotate("timeouts", timeouts.to_string());
 
         let mut alive: Vec<NodeId> = alive.into_iter().collect();
         alive.sort_by_key(|n| n.distance(&key));

@@ -9,6 +9,8 @@
 //!
 //! - row normalization (Equations 3/5/6) fuses into the freeze itself
 //!   ([`CsrMatrix::freeze_normalized_with`]),
+//! - rows built by parallel workers stitch straight into the arrays
+//!   ([`RowRun`], [`CsrMatrix::from_row_runs`]),
 //! - the Equation 7 blend runs as a k-way scaled merge over row slices
 //!   ([`blend_frozen`]),
 //! - the Equation 8 power `RM = TM^n` runs as a row-chunked parallel SpGEMM
@@ -30,8 +32,9 @@
 //! stores such patches in a per-row *overlay* keyed by [`UserId`] (so a
 //! patched row may reference users that did not exist at freeze time); all
 //! reads consult the overlay first. The overlay is folded back into clean
-//! contiguous storage by [`CsrMatrix::compact`], which the engine triggers
-//! on the next full freeze (and before any multi-step power).
+//! contiguous storage by [`CsrMatrix::compact`] before any multi-step
+//! power; the engine's next rebuild of every row replaces the matrix
+//! outright.
 
 use crate::ops::{validate_blend_weights_by_value, BlendError, PowerOptions};
 use crate::sparse::{SparseMatrix, SparseVector};
@@ -141,6 +144,53 @@ impl ColumnSet {
     }
 }
 
+/// Rows appended in ascending id order with their column ids not yet
+/// interned: one worker's share of a matrix built before the shared
+/// [`UserIndex`] is known. [`CsrMatrix::from_row_runs`] resolves and
+/// stitches the runs.
+#[derive(Debug, Clone, Default)]
+pub struct RowRun {
+    rows: Vec<UserId>,
+    /// Per row, the end offset of its entries.
+    ends: Vec<usize>,
+    entries: Vec<(UserId, f64)>,
+}
+
+impl RowRun {
+    /// An empty run with room for `entries` entries.
+    #[must_use]
+    pub fn with_capacity(entries: usize) -> Self {
+        Self {
+            entries: Vec::with_capacity(entries),
+            ..Self::default()
+        }
+    }
+
+    /// Appends `row`'s entries (ascending columns) after every row pushed
+    /// so far. Empty rows are skipped: a frozen matrix stores none.
+    pub fn push_row(&mut self, row: UserId, entries: impl IntoIterator<Item = (UserId, f64)>) {
+        let start = self.entries.len();
+        self.entries.extend(entries);
+        if self.entries.len() == start {
+            return;
+        }
+        debug_assert!(
+            self.rows.last().is_none_or(|&last| last < row),
+            "rows must arrive in ascending id order"
+        );
+        self.rows.push(row);
+        self.ends.push(self.entries.len());
+    }
+
+    /// Every row and column id the run references (unsorted, repeating).
+    pub fn ids(&self) -> impl Iterator<Item = UserId> + '_ {
+        self.rows
+            .iter()
+            .copied()
+            .chain(self.entries.iter().map(|&(c, _)| c))
+    }
+}
+
 /// A frozen, index-interned CSR matrix with an optional per-row overlay.
 ///
 /// Freeze a [`SparseMatrix`] with [`freeze`](Self::freeze) (or
@@ -232,86 +282,59 @@ impl CsrMatrix {
         Self::freeze_impl(index, m, true)
     }
 
-    /// Sharded counterpart of [`freeze_normalized_with`](Self::freeze_normalized_with):
-    /// the row space is partitioned into `shards` contiguous position
-    /// ranges and each shard's rows are frozen by its own worker thread,
-    /// then stitched back in range order. Row normalization is per-row
-    /// (each row's sum is computed over that row alone), so the output is
-    /// **bit-identical** to the serial freeze at any shard count — this is
-    /// the kernel the sharded engine's full rebuild runs per shard.
+    /// Stitches `runs` into one compact matrix under `index`, which must
+    /// intern every id the runs reference. Each run holds rows in
+    /// ascending id order, and every row of a run precedes every row of
+    /// the next — the shape shard workers produce over contiguous id
+    /// ranges. Each run's ids are resolved on its own scoped thread.
     ///
     /// # Panics
     ///
-    /// Panics when `shards == 0` or `m` references an id missing from
-    /// `index`.
+    /// Panics when a run references an id missing from `index`.
     #[must_use]
-    pub fn freeze_normalized_sharded(
-        index: &Arc<UserIndex>,
-        m: &SparseMatrix,
-        shards: usize,
-    ) -> Self {
-        assert!(shards >= 1, "at least one shard is required");
-        let n = index.len();
-        if shards == 1 || n < 2 * shards {
-            return Self::freeze_impl(index, m, true);
-        }
-        let ranges = shard_ranges(n, shards);
-        // Each worker freezes one contiguous range of interned positions:
-        // (per-row column/value arrays + per-row lengths). Per-row sums are
-        // computed inside the worker exactly as the serial pass does.
-        type ShardPart = (Vec<usize>, Vec<u32>, Vec<f64>);
-        let worker = |range: std::ops::Range<usize>| -> ShardPart {
-            let ids = &index.ids()[range.clone()];
-            let mut lens = Vec::with_capacity(ids.len());
-            let mut cols = Vec::new();
-            let mut vals = Vec::new();
-            for &id in ids {
-                let before = vals.len();
-                if let Some(row) = m.row(id) {
-                    let sum: f64 = row.values().sum();
-                    debug_assert!(sum > 0.0, "validated matrices store no zero rows");
-                    for (&c, &v) in row {
-                        cols.push(index.position(c).expect("column id interned in index"));
-                        vals.push(v / sum);
-                    }
-                }
-                lens.push(vals.len() - before);
-            }
-            (lens, cols, vals)
-        };
-        let worker = &worker;
-        let parts: Vec<ShardPart> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
+    pub fn from_row_runs(index: &Arc<UserIndex>, runs: Vec<RowRun>) -> Self {
+        let position = |id: UserId| index.position(id).expect("run id interned in index");
+        let nnz = runs.iter().map(|run| run.entries.len()).sum();
+        // Per run: row positions, row end offsets, resolved entries.
+        type Resolved = (Vec<u32>, Vec<usize>, Vec<(u32, f64)>);
+        // Ids resolve on one scoped thread per run. A `(u32, f64)` pair is
+        // the size of a `(UserId, f64)` one, so the collect reuses the
+        // run's buffer, and the copy below frees each run as soon as it
+        // lands: the arrays and the runs are never both held whole.
+        let resolved: Vec<Resolved> = std::thread::scope(|scope| {
+            let workers: Vec<_> = runs
                 .into_iter()
-                .map(|range| scope.spawn(move || worker(range)))
+                .map(|run| {
+                    scope.spawn(move || {
+                        let rows = run.rows.into_iter().map(position).collect();
+                        let entries = run.entries.into_iter().map(|(c, v)| (position(c), v));
+                        (rows, run.ends, entries.collect())
+                    })
+                })
                 .collect();
-            handles
+            workers
                 .into_iter()
-                .map(|h| h.join().expect("freeze shard panicked"))
+                .map(|w| w.join().expect("resolve worker panicked"))
                 .collect()
         });
-        // Stitch in shard order = ascending position order: prefix-sum the
-        // per-row lengths into the global indptr, then concatenate the
-        // entry arrays.
-        let nnz: usize = parts.iter().map(|(_, c, _)| c.len()).sum();
-        let mut indptr = vec![0usize; n + 1];
+        let mut indptr = vec![0usize; index.len() + 1];
         let mut cols = Vec::with_capacity(nnz);
         let mut vals = Vec::with_capacity(nnz);
-        let mut pos = 0usize;
-        let mut offset = 0usize;
-        for (lens, part_cols, part_vals) in parts {
-            for len in lens {
-                indptr[pos] = offset;
-                offset += len;
-                pos += 1;
+        // `next` is the first position whose start offset is still unset.
+        let mut next = 0usize;
+        for (rows, ends, entries) in resolved {
+            let mut start = vals.len();
+            for (pos, end) in rows.into_iter().zip(ends) {
+                let pos = pos as usize;
+                assert!(pos >= next, "runs must list rows in ascending id order");
+                indptr[next..=pos].fill(start);
+                start = vals.len() + end;
+                next = pos + 1;
             }
-            cols.extend(part_cols);
-            vals.extend(part_vals);
+            cols.extend(entries.iter().map(|&(c, _)| c));
+            vals.extend(entries.iter().map(|&(_, v)| v));
         }
-        debug_assert_eq!(pos, n);
-        debug_assert_eq!(offset, vals.len());
-        indptr[n] = vals.len();
-        assert_eq!(cols.len(), m.nnz(), "index must intern every row id of m");
+        indptr[next..].fill(vals.len());
         Self {
             index: Arc::clone(index),
             storage: Arc::new(CsrStorage { indptr, cols, vals }),
@@ -699,11 +722,6 @@ impl CsrMatrix {
         let occupied: Vec<u32> = (0..n as u32)
             .filter(|&p| self.storage.indptr[p as usize] < self.storage.indptr[p as usize + 1])
             .collect();
-        let chunk_len = if threads == 1 || occupied.len() < 2 * threads {
-            occupied.len().max(1)
-        } else {
-            occupied.len().div_ceil(threads)
-        };
         let worker = |chunk: &[u32]| -> Vec<CsrRow> {
             let mut scratch = vec![0.0f64; n];
             let mut touched: Vec<u32> = Vec::new();
@@ -845,22 +863,10 @@ impl CsrMatrix {
             }
             out
         };
-        let rows: Vec<CsrRow> = if chunk_len >= occupied.len() {
-            worker(&occupied)
-        } else {
-            let worker = &worker;
-            let partials: Vec<Vec<CsrRow>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = occupied
-                    .chunks(chunk_len)
-                    .map(|chunk| scope.spawn(move || worker(chunk)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker thread panicked"))
-                    .collect()
-            });
-            partials.into_iter().flatten().collect()
-        };
+        let rows: Vec<CsrRow> = map_chunks(&occupied, threads, worker)
+            .into_iter()
+            .flatten()
+            .collect();
         Self::assemble(Arc::clone(&self.index), n, rows)
     }
 
@@ -1038,11 +1044,6 @@ pub fn blend_frozen(parts: &[(f64, &CsrMatrix)], threads: usize) -> Result<CsrMa
                 .any(|(_, m)| m.storage.indptr[p as usize] < m.storage.indptr[p as usize + 1])
         })
         .collect();
-    let chunk_len = if threads == 1 || occupied.len() < 2 * threads {
-        occupied.len().max(1)
-    } else {
-        occupied.len().div_ceil(threads)
-    };
     let worker = |chunk: &[u32]| -> Vec<CsrRow> {
         let mut scratch = vec![0.0f64; n];
         let mut touched: Vec<u32> = Vec::new();
@@ -1079,22 +1080,10 @@ pub fn blend_frozen(parts: &[(f64, &CsrMatrix)], threads: usize) -> Result<CsrMa
         }
         out
     };
-    let rows: Vec<CsrRow> = if chunk_len >= occupied.len() {
-        worker(&occupied)
-    } else {
-        let worker = &worker;
-        let partials: Vec<Vec<CsrRow>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = occupied
-                .chunks(chunk_len)
-                .map(|chunk| scope.spawn(move || worker(chunk)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect()
-        });
-        partials.into_iter().flatten().collect()
-    };
+    let rows: Vec<CsrRow> = map_chunks(&occupied, threads, worker)
+        .into_iter()
+        .flatten()
+        .collect();
     Ok(CsrMatrix::assemble(Arc::clone(&first.index), n, rows))
 }
 
@@ -1112,28 +1101,39 @@ pub fn shard_ranges(n: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
         .collect()
 }
 
-/// One row of the frozen Equation 7 blend, overlay-aware — the dirty-row
-/// path's counterpart of [`blend_frozen`], producing exactly the row the
-/// batch blend would (same accumulation order, zeros dropped).
-#[must_use]
-pub fn blend_row_frozen(parts: &[(f64, &CsrMatrix)], row: UserId) -> SparseVector {
-    let mut out = SparseVector::new();
-    for (w, m) in parts {
-        if *w == 0.0 {
-            continue;
-        }
-        for (c, v) in m.row_entries(row) {
-            *out.entry(c).or_insert(0.0) += w * v;
-        }
+/// Applies `worker` to the contiguous [`shard_ranges`] of `items`, one
+/// scoped thread per range, and returns the outputs in range order. Fewer
+/// than two items per thread run as one range on the caller's thread.
+///
+/// # Panics
+///
+/// Panics if `threads == 0` or a worker panics.
+pub fn map_chunks<I: Sync, T: Send>(
+    items: &[I],
+    threads: usize,
+    worker: impl Fn(&[I]) -> T + Sync,
+) -> Vec<T> {
+    assert!(threads >= 1, "at least one thread is required");
+    if threads == 1 || items.len() < 2 * threads {
+        return vec![worker(items)];
     }
-    out.retain(|_, v| *v != 0.0);
-    out
+    let worker = &worker;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = shard_ranges(items.len(), threads)
+            .into_iter()
+            .map(|range| scope.spawn(move || worker(&items[range])))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker thread panicked"))
+            .collect()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{blend, normalized_row};
+    use crate::{blend, blend_entries, blend_row, normalized_entries, normalized_row};
 
     fn u(i: u64) -> UserId {
         UserId::new(i)
@@ -1228,43 +1228,59 @@ mod tests {
     }
 
     #[test]
-    fn sharded_freeze_is_bit_identical_to_serial() {
+    fn row_runs_stitch_to_the_frozen_arrays() {
         let m = synth(97, 6, 77);
-        let index = Arc::new(UserIndex::from_matrices(&[&m]));
-        let serial = CsrMatrix::freeze_normalized_with(&index, &m);
-        for shards in [1, 2, 3, 4, 7, 16, 200] {
-            let sharded = CsrMatrix::freeze_normalized_sharded(&index, &m, shards);
-            assert_eq!(
-                sharded.storage.indptr, serial.storage.indptr,
-                "{shards} shards"
-            );
-            assert_eq!(sharded.storage.cols, serial.storage.cols, "{shards} shards");
-            // Bit-identical values, not just semantically equal.
-            for (a, b) in sharded.storage.vals.iter().zip(&serial.storage.vals) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{shards} shards");
+        // The index carries ids with no row, so stitching must leave gaps.
+        let index = Arc::new(UserIndex::from_ids(
+            m.iter()
+                .flat_map(|(r, c, _)| [r, c])
+                .chain([u(500), u(501)]),
+        ));
+        let frozen = CsrMatrix::freeze_with(&index, &m);
+        let rows: Vec<UserId> = m.row_ids().collect();
+        for runs in [1, 2, 3, 7, 200] {
+            let runs: Vec<RowRun> = shard_ranges(rows.len(), runs)
+                .into_iter()
+                .map(|range| {
+                    let mut run = RowRun::default();
+                    for &r in &rows[range] {
+                        run.push_row(r, m.row(r).expect("listed row").clone());
+                    }
+                    run
+                })
+                .collect();
+            let stitched = CsrMatrix::from_row_runs(&index, runs);
+            assert_eq!(stitched.storage.indptr, frozen.storage.indptr);
+            assert_eq!(stitched.storage.cols, frozen.storage.cols);
+            for (a, b) in stitched.storage.vals.iter().zip(&frozen.storage.vals) {
+                assert_eq!(a.to_bits(), b.to_bits());
             }
         }
     }
 
     #[test]
-    fn sharded_freeze_handles_index_gaps_and_empty() {
-        let mut m = SparseMatrix::new();
-        m.set(u(2), u(7), 3.0).unwrap();
-        m.set(u(7), u(2), 2.0).unwrap();
-        m.set(u(7), u(7), 2.0).unwrap();
-        let index = Arc::new(UserIndex::from_ids([u(0), u(2), u(5), u(7), u(9)]));
-        let serial = CsrMatrix::freeze_normalized_with(&index, &m);
-        let sharded = CsrMatrix::freeze_normalized_sharded(&index, &m, 3);
-        assert_eq!(sharded.storage.indptr, serial.storage.indptr);
-        assert_eq!(sharded, serial);
-        assert!(sharded.is_row_stochastic(1e-12));
+    fn row_runs_skip_empty_rows_and_handle_no_runs() {
+        let mut run = RowRun::default();
+        run.push_row(u(1), []);
+        run.push_row(u(2), [(u(3), 0.5)]);
+        assert_eq!(run.ids().collect::<Vec<_>>(), vec![u(2), u(3)]);
+        let index = Arc::new(UserIndex::from_ids(run.ids()));
+        assert_eq!(index.ids(), &[u(2), u(3)]);
+        let m = CsrMatrix::from_row_runs(&index, vec![run]);
+        assert_eq!(m.row_ids(), vec![u(2)]);
+        assert_eq!(m.get(u(2), u(3)), 0.5);
 
-        let empty = CsrMatrix::freeze_normalized_sharded(
-            &Arc::new(UserIndex::default()),
-            &SparseMatrix::new(),
-            4,
-        );
+        let empty = CsrMatrix::from_row_runs(&Arc::new(UserIndex::default()), Vec::new());
         assert!(empty.is_empty());
+
+        // Ids far beyond the index length.
+        let mut run = RowRun::default();
+        run.push_row(u(7), [(u(1 << 40), 0.25), (u(u64::MAX), 0.75)]);
+        let index = Arc::new(UserIndex::from_ids(run.ids()));
+        assert_eq!(index.ids(), &[u(7), u(1 << 40), u(u64::MAX)]);
+        let m = CsrMatrix::from_row_runs(&index, vec![run]);
+        assert_eq!(m.get(u(7), u(u64::MAX)), 0.75);
+        assert_eq!(m.row_ids(), vec![u(7)]);
     }
 
     #[test]
@@ -1351,6 +1367,35 @@ mod tests {
     }
 
     #[test]
+    fn entry_row_kernels_match_the_matrix_kernels_bit_for_bit() {
+        let raw = [synth(40, 4, 23), synth(40, 4, 29), synth(40, 4, 31)];
+        let normalized = raw.each_ref().map(SparseMatrix::normalized_rows);
+        let bits = |row: &[(UserId, f64)]| -> Vec<(UserId, u64)> {
+            row.iter().map(|&(c, v)| (c, v.to_bits())).collect()
+        };
+        for weights in [[0.2, 0.3, 0.5], [0.5, 0.0, 0.5]] {
+            let parts: Vec<(f64, &SparseMatrix)> = weights.into_iter().zip(&normalized).collect();
+            for r in (0..40).map(u) {
+                let rows = std::array::from_fn::<_, 3, _>(|k| {
+                    let entries = normalized_entries(raw[k].row(r).into_iter().flatten());
+                    let reference: Vec<(UserId, f64)> = normalized[k]
+                        .row(r)
+                        .into_iter()
+                        .flatten()
+                        .map(|(&c, &v)| (c, v))
+                        .collect();
+                    assert_eq!(bits(&entries), bits(&reference));
+                    entries
+                });
+                let blended =
+                    blend_entries::<3>(std::array::from_fn(|k| (weights[k], &rows[k][..])));
+                let reference: Vec<(UserId, f64)> = blend_row(&parts, r).into_iter().collect();
+                assert_eq!(bits(&blended), bits(&reference));
+            }
+        }
+    }
+
+    #[test]
     fn blend_frozen_matches_blend() {
         let a = synth(40, 4, 23).normalized_rows();
         let b = synth(40, 4, 29).normalized_rows();
@@ -1365,22 +1410,6 @@ mod tests {
             assert_eq!(frozen, reference, "{threads} threads");
         }
         assert!(blend_frozen(&[(0.5, &fa)], 1).is_err(), "weights checked");
-    }
-
-    #[test]
-    fn blend_row_frozen_matches_batch() {
-        let a = synth(20, 3, 37).normalized_rows();
-        let b = synth(20, 3, 41).normalized_rows();
-        let index = Arc::new(UserIndex::from_matrices(&[&a, &b]));
-        let fa = CsrMatrix::freeze_with(&index, &a);
-        let fb = CsrMatrix::freeze_with(&index, &b);
-        let whole = blend_frozen(&[(0.6, &fa), (0.4, &fb)], 1).unwrap();
-        for r in whole.row_ids() {
-            let row = blend_row_frozen(&[(0.6, &fa), (0.4, &fb)], r);
-            let batch: SparseVector = whole.row_entries(r).collect();
-            assert_eq!(row, batch, "row {r}");
-        }
-        assert!(blend_row_frozen(&[(0.6, &fa), (0.4, &fb)], u(999)).is_empty());
     }
 
     #[test]

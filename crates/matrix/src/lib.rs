@@ -39,10 +39,13 @@ mod ops;
 mod sparse;
 mod stats;
 
-pub use csr::{blend_frozen, blend_row_frozen, shard_ranges, ColumnSet, CsrMatrix, UserIndex};
+pub use csr::{blend_frozen, map_chunks, shard_ranges, ColumnSet, CsrMatrix, RowRun, UserIndex};
 pub use eigen::{principal_eigenvector, EigenOptions, EigenResult};
-pub use ops::{blend, blend_parallel, blend_row, build_rows_parallel, BlendError, PowerOptions};
+pub use ops::{
+    blend, blend_entries, blend_parallel, blend_row, build_rows_parallel, BlendError, PowerOptions,
+};
 pub use sparse::{
-    approx_row_bytes, normalize_row_mut, normalized_row, MatrixError, SparseMatrix, SparseVector,
+    approx_row_bytes, normalize_row_mut, normalized_entries, normalized_row, MatrixError,
+    SparseMatrix, SparseVector,
 };
 pub use stats::MatrixStats;

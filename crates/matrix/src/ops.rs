@@ -1,5 +1,6 @@
 //! Matrix-level operations: blending (Equation 7) and powers (Equation 8).
 
+use crate::csr::map_chunks;
 use crate::sparse::{SparseMatrix, SparseVector};
 use mdrep_types::UserId;
 use std::error::Error;
@@ -95,6 +96,34 @@ pub fn blend_row(parts: &[(f64, &SparseMatrix)], row: UserId) -> SparseVector {
     out
 }
 
+/// [`blend_row`] over `(column, value)` rows in ascending column order,
+/// returned as a pair vector: each column accumulates `Σ wᵢ·vᵢ` from `0.0`
+/// in `parts` order, zero-weight parts are skipped and zero sums dropped.
+#[must_use]
+pub fn blend_entries<const N: usize>(parts: [(f64, &[(UserId, f64)]); N]) -> Vec<(UserId, f64)> {
+    let parts = parts.map(|(w, row)| (w, if w == 0.0 { &[][..] } else { row }));
+    let mut at = [0usize; N];
+    let mut out = Vec::new();
+    while let Some(c) = (0..N)
+        .filter_map(|k| parts[k].1.get(at[k]).map(|e| e.0))
+        .min()
+    {
+        let mut sum = 0.0;
+        for (k, (w, row)) in parts.iter().enumerate() {
+            if let Some(&(col, v)) = row.get(at[k]) {
+                if col == c {
+                    sum += w * v;
+                    at[k] += 1;
+                }
+            }
+        }
+        if sum != 0.0 {
+            out.push((c, sum));
+        }
+    }
+    out
+}
+
 /// Equation 7 computed across `threads` OS threads: the union of row ids is
 /// partitioned and each thread blends its slice row-by-row (the same
 /// scoped-thread pattern as [`SparseMatrix::multiply_parallel`]). Produces
@@ -144,23 +173,12 @@ pub fn build_rows_parallel<F>(rows: &[UserId], threads: usize, f: F) -> Vec<(Use
 where
     F: Fn(UserId) -> SparseVector + Sync,
 {
-    assert!(threads >= 1, "at least one thread is required");
-    if threads == 1 || rows.len() < 2 * threads {
-        return rows.iter().map(|&r| (r, f(r))).collect();
-    }
-    let chunk_len = rows.len().div_ceil(threads);
-    let f = &f;
-    let partials: Vec<Vec<(UserId, SparseVector)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = rows
-            .chunks(chunk_len)
-            .map(|chunk| scope.spawn(move || chunk.iter().map(|&r| (r, f(r))).collect::<Vec<_>>()))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    });
-    partials.into_iter().flatten().collect()
+    map_chunks(rows, threads, |chunk| {
+        chunk.iter().map(|&r| (r, f(r))).collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Options controlling [`SparseMatrix::power`] and the frozen
@@ -345,37 +363,13 @@ impl SparseMatrix {
     /// Panics if `threads == 0`.
     #[must_use]
     pub fn multiply_parallel(&self, other: &Self, threads: usize) -> Self {
-        assert!(threads >= 1, "at least one thread is required");
         let rows: Vec<UserId> = self.row_ids().collect();
-        if threads == 1 || rows.len() < 2 * threads {
-            return self.multiply(other);
-        }
-        let chunk_len = rows.len().div_ceil(threads);
-        let partials: Vec<Vec<(UserId, SparseVector)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = rows
-                .chunks(chunk_len)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        chunk
-                            .iter()
-                            .map(|&r| {
-                                let row = self.row(r).expect("row id came from row_ids");
-                                (r, other.vector_multiply(row))
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect()
+        let built = build_rows_parallel(&rows, threads, |r| {
+            other.vector_multiply(self.row(r).expect("row id came from row_ids"))
         });
         let mut out = Self::new();
-        for partial in partials {
-            for (r, product) in partial {
-                out.insert_row(r, product);
-            }
+        for (r, product) in built {
+            out.insert_row(r, product);
         }
         out
     }

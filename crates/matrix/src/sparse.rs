@@ -67,6 +67,24 @@ pub fn normalize_row_mut(row: &mut SparseVector) -> bool {
     true
 }
 
+/// [`normalized_row`] over borrowed `(column, value)` entries in ascending
+/// column order, returned as a pair vector: the same column-order sum and
+/// per-entry division, with entries that underflow to zero dropped. A
+/// zero-sum row normalizes to the empty row.
+#[must_use]
+pub fn normalized_entries<'a>(
+    raw: impl IntoIterator<Item = (&'a UserId, &'a f64)> + Clone,
+) -> Vec<(UserId, f64)> {
+    let sum: f64 = raw.clone().into_iter().map(|(_, v)| v).sum();
+    if sum <= 0.0 {
+        return Vec::new();
+    }
+    raw.into_iter()
+        .map(|(&c, &v)| (c, v / sum))
+        .filter(|&(_, v)| v != 0.0)
+        .collect()
+}
+
 /// Approximate heap bytes of one sparse row slab: the `BTreeMap` entries
 /// plus ~3 words of node overhead each, plus the key/`Arc` pair a
 /// copy-on-write overlay spends per patched row. This is the single unit

@@ -20,6 +20,9 @@
 //! ([`Registry::set_enabled`]) turns every record call into an atomic load
 //! and an early return.
 //!
+//! A hot-path phase opens one [`phase`] guard, feeding both the registry
+//! timer and the trace ring under one name.
+//!
 //! Three sibling layers cover what aggregates can't:
 //!
 //! * [`trace`] — causal span trees (who called what, with which retries)
@@ -450,6 +453,31 @@ impl Drop for Span<'_> {
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)
+}
+
+/// Starts one phase: a [`global`] registry timer and a [`tracer`] span
+/// under the same `name`, both closed when the guard drops — so the
+/// aggregate and the causal view always name the same phases.
+#[must_use]
+pub fn phase(name: &'static str) -> Phase {
+    Phase {
+        _timer: global().span(name),
+        trace: trace_span(name),
+    }
+}
+
+/// RAII guard produced by [`phase`]; the timer closes first, then the span.
+#[derive(Debug)]
+pub struct Phase {
+    _timer: Span<'static>,
+    trace: TraceSpan<'static>,
+}
+
+impl Phase {
+    /// Annotates the trace span (no-op while the tracer is disabled).
+    pub fn annotate(&mut self, key: &'static str, value: impl Into<String>) {
+        self.trace.annotate(key, value);
+    }
 }
 
 /// An immutable copy of a registry's contents, able to render itself.

@@ -151,3 +151,26 @@ fn global_trace_span_helper_records_into_global_tracer() {
     drop(mdrep_obs::trace_span("obs.test.global_span"));
     assert!(mdrep_obs::tracer().stats().recorded > before);
 }
+
+#[test]
+fn phase_records_one_timer_and_one_span_under_one_name() {
+    {
+        let mut outer = mdrep_obs::phase("obs.test.phase_outer");
+        outer.annotate("k", "v");
+        drop(mdrep_obs::phase("obs.test.phase_inner"));
+    }
+    let timers = mdrep_obs::global().snapshot();
+    assert!(timers.timer("obs.test.phase_outer").is_some());
+    assert!(timers.timer("obs.test.phase_inner").is_some());
+    let events = mdrep_obs::tracer().events();
+    let outer = events
+        .iter()
+        .find(|e| e.name == "obs.test.phase_outer")
+        .expect("outer span recorded");
+    let inner = events
+        .iter()
+        .find(|e| e.name == "obs.test.phase_inner")
+        .expect("inner span recorded");
+    assert_eq!(inner.parent, outer.id, "phases nest like trace spans");
+    assert_eq!(outer.args, vec![("k", "v".to_string())]);
+}

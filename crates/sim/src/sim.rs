@@ -637,7 +637,7 @@ mod tests {
             MultiDimensional::new(Params::default()),
         )
         .run(&t);
-        // The dirty-row path reproduces the batch path bit-for-bit, so
+        // A dirty-row rebuild reproduces a full one bit-for-bit, so
         // forcing a rebuild every epoch must not move any metric.
         assert_eq!(incremental.requests, forced.requests);
         assert_eq!(
