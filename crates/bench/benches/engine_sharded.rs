@@ -148,7 +148,7 @@ fn bench_recompute(c: &mut Criterion) {
 
 /// Serial vs parallel dirty-row recompute on identical state: the same 1%
 /// rank burst absorbed by one worker and by eight. Rank events dirty the
-/// user-trust rows without re-running the (serial) Eq. 2 pair
+/// user-trust rows without re-running the Eq. 2 pair
 /// accumulation, so the pair isolates the worker-level speedup of the
 /// per-shard row rebuild itself; the vote-heavy shape stays covered by
 /// the `recompute` group. Bit-identity across worker counts is asserted

@@ -488,9 +488,9 @@ impl ReputationEngine {
     /// dirty union in [`RecomputeMode::Incremental`] and every known row
     /// otherwise; both run the same three phases:
     ///
-    /// 1. **Equation 2** (`fm_build`) — serial and stateful: the pair pass
-    ///    mutates the raw `FT` builder, over the dirty users or, from an
-    ///    empty `FT`, over everyone.
+    /// 1. **Equation 2** (`fm_build`) — parallel by row, then a serial
+    ///    sink into the raw `FT` builder: over the dirty users or, from an
+    ///    empty `FT`, over everyone (`FileTrustState`).
     /// 2. **Rows** (`integrate`) — shard-parallel and pure: the row set is
     ///    split into contiguous ranges ([`map_chunks`]) and one worker
     ///    per range builds each row's `FM`/`DM`/`UM` rows and its blended

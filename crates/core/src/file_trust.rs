@@ -12,9 +12,9 @@
 
 use crate::eval::EvaluationStore;
 use crate::params::Params;
-use mdrep_matrix::SparseMatrix;
+use mdrep_matrix::{map_chunks, SparseMatrix, SparseVector};
 use mdrep_types::{Evaluation, FileId, SimTime, UserId};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// The per-file distance used inside Equation 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -103,9 +103,10 @@ impl FileTrust {
     /// Computes Equation 2 with explicit options: the Equation 2 pass of
     /// [`FileTrustState::full_rebuild`], from an empty `FT`.
     ///
-    /// The pair enumeration runs over the store's inverted file index:
-    /// every file contributes its evaluator pairs, so the cost is
-    /// `O(Σ_f e_f²)` where `e_f` is the (possibly capped) evaluator count.
+    /// The pass runs row by row over the store's inverted file index: each
+    /// user adds its distance to every co-evaluator of each of its files,
+    /// so the cost is `O(Σ_f e_f²)` where `e_f` is the (possibly capped)
+    /// evaluator count.
     #[must_use]
     pub fn compute_with(
         store: &EvaluationStore,
@@ -128,58 +129,6 @@ impl FileTrust {
     #[must_use]
     pub fn matrix(&self) -> SparseMatrix {
         self.ft.normalized_rows()
-    }
-}
-
-/// Equation 1 snapshots per user, keyed by file.
-type Snapshots = HashMap<UserId, BTreeMap<FileId, Evaluation>>;
-/// Per-pair accumulated `(distance sum, common file count)`.
-type PairAcc = HashMap<(UserId, UserId), (f64, usize)>;
-
-/// The evaluators considered for `file`, in ascending user order, truncated
-/// to the configured cap. Eligible users are paired out of exactly this
-/// prefix.
-fn capped_evaluators(
-    store: &EvaluationStore,
-    file: FileId,
-    options: FileTrustOptions,
-) -> Vec<UserId> {
-    match options.max_evaluators_per_file {
-        Some(cap) => store.evaluators_of(file).take(cap).collect(),
-        None => store.evaluators_of(file).collect(),
-    }
-}
-
-/// Adds one common file's distance to the pair accumulator.
-fn accumulate_pair(
-    acc: &mut PairAcc,
-    metric: DistanceMetric,
-    a: UserId,
-    ea: Evaluation,
-    b: UserId,
-    eb: Evaluation,
-) {
-    let d = metric.per_file(ea, eb);
-    let entry = acc.entry((a.min(b), a.max(b))).or_insert((0.0, 0));
-    entry.0 += d;
-    entry.1 += 1;
-}
-
-/// Writes one accumulated pair into `ft` (both directions; zero-trust pairs
-/// stay absent, matching the sparse Equation 2 semantics).
-fn set_pair_trust(
-    ft: &mut SparseMatrix,
-    metric: DistanceMetric,
-    a: UserId,
-    b: UserId,
-    sum: f64,
-    m: usize,
-) {
-    let trust = metric.to_trust(sum, m);
-    if trust > 0.0 {
-        // FT is symmetric: both directions get the same value.
-        ft.set(a, b, trust).expect("trust in [0,1]");
-        ft.set(b, a, trust).expect("trust in [0,1]");
     }
 }
 
@@ -293,12 +242,187 @@ impl FileTrustState {
     }
 }
 
-/// The Equation 2 pass: accumulates every pair whose endpoints are both
+/// What one Equation 2 pass did, exported per epoch as
+/// `engine.eq2.capped_files` (gauge) and `engine.eq2.pair_updates`
+/// (counter).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Eq2Work {
+    /// Walked files whose evaluator list the cap truncated.
+    capped_files: usize,
+    /// Unordered (pair, file) contributions: `Σ_f C(k_f, 2)` over the
+    /// walked files' `k_f` members.
+    pair_updates: u64,
+}
+
+/// The Equation 2 member table: each walked file's capped, eligible
+/// evaluators with their Equation 1 values, recorded once and indexed both
+/// by file and by user.
+struct MemberTable {
+    /// The member users, ascending; a member is named by its index here.
+    users: Vec<UserId>,
+    /// File slot `s`'s members, in store order, are
+    /// `members[file_start[s]..file_start[s + 1]]`, as (user index, value).
+    /// Slots follow ascending file order.
+    file_start: Vec<usize>,
+    members: Vec<(usize, Evaluation)>,
+    /// User `u`'s (file slot, value) list, in ascending slot order, is
+    /// `user_files[user_start[u]..user_start[u + 1]]`.
+    user_start: Vec<usize>,
+    user_files: Vec<(usize, Evaluation)>,
+    work: Eq2Work,
+}
+
+impl MemberTable {
+    /// Walks the files once, in ascending order — every file, or the files
+    /// of the `eligible` users — and keeps each file's first `cap`
+    /// evaluators in store order that are eligible. Files left with fewer
+    /// than two members pair nobody and get no slot.
+    fn build(
+        store: &EvaluationStore,
+        now: SimTime,
+        params: &Params,
+        options: FileTrustOptions,
+        eligible: Option<&BTreeSet<UserId>>,
+    ) -> Self {
+        let files: Vec<FileId> = match eligible {
+            None => store.files().collect(),
+            Some(users) => users
+                .iter()
+                .flat_map(|&u| store.files_of(u))
+                .collect::<BTreeSet<FileId>>()
+                .into_iter()
+                .collect(),
+        };
+        let cap = options.max_evaluators_per_file.unwrap_or(usize::MAX);
+        let mut work = Eq2Work {
+            capped_files: 0,
+            pair_updates: 0,
+        };
+        let mut file_start = vec![0];
+        let mut named: Vec<(UserId, Evaluation)> = Vec::new();
+        for file in files {
+            let start = named.len();
+            let mut evaluators = store.evaluators_of(file);
+            for user in evaluators.by_ref().take(cap) {
+                if eligible.is_none_or(|users| users.contains(&user)) {
+                    let value = store
+                        .evaluation(user, file, now, params)
+                        .expect("an indexed evaluator holds a record");
+                    named.push((user, value));
+                }
+            }
+            if evaluators.next().is_some() {
+                work.capped_files += 1;
+            }
+            let k = (named.len() - start) as u64;
+            if k < 2 {
+                named.truncate(start);
+            } else {
+                work.pair_updates += k * (k - 1) / 2;
+                file_start.push(named.len());
+            }
+        }
+
+        let mut users: Vec<UserId> = named.iter().map(|&(u, _)| u).collect();
+        users.sort_unstable();
+        users.dedup();
+        let members: Vec<(usize, Evaluation)> = named
+            .into_iter()
+            .map(|(u, value)| (users.binary_search(&u).expect("collected above"), value))
+            .collect();
+
+        // Counting sort by user; walking the slots in order keeps every
+        // user's list in ascending file order.
+        let mut user_start = vec![0; users.len() + 1];
+        for &(u, _) in &members {
+            user_start[u + 1] += 1;
+        }
+        for u in 0..users.len() {
+            user_start[u + 1] += user_start[u];
+        }
+        let mut cursor = user_start[..users.len()].to_vec();
+        let mut user_files = vec![(0, Evaluation::WORST); members.len()];
+        for slot in 0..file_start.len() - 1 {
+            for &(u, value) in &members[file_start[slot]..file_start[slot + 1]] {
+                user_files[cursor[u]] = (slot, value);
+                cursor[u] += 1;
+            }
+        }
+        Self {
+            users,
+            file_start,
+            members,
+            user_start,
+            user_files,
+            work,
+        }
+    }
+
+    /// The `FT` rows of the users at `rows` (indices into
+    /// [`users`](Self::users)), each as its nonzero entries in ascending
+    /// column order. One dense `(sum, count)` accumulator serves every row:
+    /// row `a` walks its files in ascending order and adds its distance to
+    /// every co-member, so each pair sums its common files in ascending
+    /// file order — the order the symmetric entry's row uses too.
+    fn trust_rows(&self, rows: &[usize], metric: DistanceMetric) -> Vec<(UserId, SparseVector)> {
+        let mut acc = vec![(0.0, 0usize); self.users.len()];
+        let mut touched: Vec<usize> = Vec::new();
+        let mut out = Vec::with_capacity(rows.len());
+        for &a in rows {
+            for &(slot, ea) in &self.user_files[self.user_start[a]..self.user_start[a + 1]] {
+                for &(b, eb) in &self.members[self.file_start[slot]..self.file_start[slot + 1]] {
+                    if b != a {
+                        let cell = &mut acc[b];
+                        if cell.1 == 0 {
+                            touched.push(b);
+                        }
+                        cell.0 += metric.per_file(ea, eb);
+                        cell.1 += 1;
+                    }
+                }
+            }
+            touched.sort_unstable();
+            let row: SparseVector = touched
+                .drain(..)
+                .filter_map(|b| {
+                    let (sum, m) = std::mem::take(&mut acc[b]);
+                    let trust = metric.to_trust(sum, m);
+                    // Zero-trust pairs stay absent (sparse Equation 2).
+                    (trust > 0.0).then_some((self.users[b], trust))
+                })
+                .collect();
+            if !row.is_empty() {
+                out.push((self.users[a], row));
+            }
+        }
+        out
+    }
+}
+
+/// The (pair, file) contributions one Equation 2 worker must have before
+/// another thread is worth spawning: below it, spawning and joining costs
+/// more than the rows it would take over, so the small passes of dirty-row
+/// epochs run on the caller's thread.
+const MIN_PAIR_UPDATES_PER_WORKER: u64 = 1 << 14;
+
+/// The workers for a pass of `pair_updates` contributions: at most
+/// `threads`, and at least one.
+fn workers(threads: usize, pair_updates: u64) -> usize {
+    let by_work = usize::try_from(pair_updates / MIN_PAIR_UPDATES_PER_WORKER).unwrap_or(usize::MAX);
+    threads.min(by_work).max(1)
+}
+
+/// The Equation 2 pass: computes every pair whose endpoints are both
 /// eligible — every evaluator when `eligible` is `None`, else the listed
-/// users — over their common files in ascending file order, and writes the
-/// pairs into `ft`. A full rebuild and a dirty-row rebuild run this one
-/// loop, so every pair sums its files in the same order either way and the
-/// results are bit-identical.
+/// users — over their common files, and writes the pairs into `ft`.
+///
+/// The rows are split into contiguous ranges ([`map_chunks`]) over
+/// [`Params::effective_threads`] — fewer when the pass is small
+/// ([`workers`]) — one worker and one accumulator per range. Every pair
+/// sums its common files in ascending file order, and
+/// [`DistanceMetric::per_file`] is exactly symmetric, so `FT_ab` and
+/// `FT_ba` are the same bits, whichever rows (a full or a dirty-row
+/// rebuild) and whatever thread count computed them.
 fn accumulate_pairs(
     ft: &mut SparseMatrix,
     store: &EvaluationStore,
@@ -306,48 +430,29 @@ fn accumulate_pairs(
     params: &Params,
     options: FileTrustOptions,
     eligible: Option<&BTreeSet<UserId>>,
-) {
+) -> Eq2Work {
     let _phase = mdrep_obs::phase("engine.eq2.pairs");
-    // Equation 1 snapshots, once per (user, file), for eligible users only:
-    // both endpoints of every accumulated pair are eligible.
-    let (snapshots, files): (Snapshots, Vec<FileId>) = match eligible {
-        None => (
-            store
-                .users()
-                .map(|u| (u, store.evaluations_of(u, now, params)))
-                .collect(),
-            store.files().collect(),
-        ),
-        Some(users) => (
-            users
-                .iter()
-                .map(|&u| (u, store.evaluations_of(u, now, params)))
-                .collect(),
-            users
-                .iter()
-                .flat_map(|&u| store.files_of(u))
-                .collect::<BTreeSet<FileId>>()
-                .into_iter()
-                .collect(),
-        ),
-    };
-    let mut acc: PairAcc = HashMap::new();
-    for file in files {
-        let mut evaluators = capped_evaluators(store, file, options);
-        if let Some(users) = eligible {
-            evaluators.retain(|u| users.contains(u));
-        }
-        for (idx, &a) in evaluators.iter().enumerate() {
-            let ea = snapshots[&a][&file];
-            for &b in &evaluators[idx + 1..] {
-                let eb = snapshots[&b][&file];
-                accumulate_pair(&mut acc, options.metric, a, ea, b, eb);
+    let table = MemberTable::build(store, now, params, options, eligible);
+    let obs = mdrep_obs::global();
+    obs.gauge_set("engine.eq2.capped_files", table.work.capped_files as f64);
+    obs.counter_add("engine.eq2.pair_updates", table.work.pair_updates);
+
+    let rows: Vec<usize> = (0..table.users.len()).collect();
+    let threads = workers(params.effective_threads(), table.work.pair_updates);
+    let chunks = map_chunks(&rows, threads, |chunk| {
+        table.trust_rows(chunk, options.metric)
+    });
+    for (a, row) in chunks.into_iter().flatten() {
+        if eligible.is_none() {
+            // A full rebuild starts from an empty FT: one write per row.
+            ft.set_row(a, row).expect("trust in [0,1]");
+        } else {
+            for (b, trust) in row {
+                ft.set(a, b, trust).expect("trust in [0,1]");
             }
         }
     }
-    for ((a, b), (sum, m)) in acc {
-        set_pair_trust(ft, options.metric, a, b, sum, m);
-    }
+    table.work
 }
 
 #[cfg(test)]
@@ -511,6 +616,45 @@ mod tests {
         assert_eq!(t.raw().nnz(), 6);
         let full = FileTrust::compute(&store, SimTime::ZERO, &params);
         assert_eq!(full.raw().nnz(), 90);
+    }
+
+    #[test]
+    fn pass_counts_capped_files_and_pair_updates() {
+        // One file with 10 evaluators at cap 3: the cap truncates it, and
+        // its 3 members contribute C(3, 2) = 3 (pair, file) updates.
+        let mut store = EvaluationStore::new();
+        for user in 0..10 {
+            vote(&mut store, u(user), f(0), 1.0);
+        }
+        let capped = FileTrustOptions {
+            max_evaluators_per_file: Some(3),
+            ..Default::default()
+        };
+        let mut ft = SparseMatrix::new();
+        let work = accumulate_pairs(
+            &mut ft,
+            &store,
+            SimTime::ZERO,
+            &explicit_params(),
+            capped,
+            None,
+        );
+        assert_eq!(
+            work,
+            Eq2Work {
+                capped_files: 1,
+                pair_updates: 3
+            }
+        );
+        assert_eq!(ft.nnz(), 6);
+    }
+
+    #[test]
+    fn small_passes_stay_on_one_worker() {
+        assert_eq!(workers(8, 0), 1);
+        assert_eq!(workers(8, MIN_PAIR_UPDATES_PER_WORKER - 1), 1);
+        assert_eq!(workers(8, 3 * MIN_PAIR_UPDATES_PER_WORKER), 3);
+        assert_eq!(workers(2, u64::MAX), 2);
     }
 
     #[test]

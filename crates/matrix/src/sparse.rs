@@ -378,7 +378,11 @@ impl SparseMatrix {
         if let Some((&col, &value)) = values.iter().find(|(_, v)| !v.is_finite() || **v < 0.0) {
             return Err(MatrixError { row, col, value });
         }
-        let filtered: SparseVector = values.into_iter().filter(|&(_, v)| v != 0.0).collect();
+        let filtered = if values.values().any(|&v| v == 0.0) {
+            values.into_iter().filter(|&(_, v)| v != 0.0).collect()
+        } else {
+            values
+        };
         if filtered.is_empty() {
             self.rows.remove(&row);
         } else {

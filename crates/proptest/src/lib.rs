@@ -14,6 +14,16 @@
 //! name) rather than an entropy source, and failures are **not** shrunk —
 //! the failing assertion simply panics with the usual `assert!` message.
 //! Both keep the shim tiny while preserving the tests' meaning.
+//!
+//! Two environment variables change a run:
+//!
+//! - `PROPTEST_CASES=n` runs `n` cases in every test, replacing both the
+//!   default and a `with_cases` count (upstream only replaces the default);
+//! - `PROPTEST_SEED=s` mixes `s` into every test's stream, so a new seed
+//!   samples new cases. Unset, each test samples its usual cases.
+//!
+//! A failing case prints the test name, the seed and the case index
+//! before the panic propagates; rerunning with the same seed reproduces it.
 
 #![forbid(unsafe_code)]
 
@@ -60,11 +70,13 @@ macro_rules! __proptest_impl {
         $(#[$meta])+
         fn $name() {
             let config: $crate::test_runner::ProptestConfig = $cfg;
-            let mut rng = $crate::test_runner::TestRng::for_test(concat!(
-                module_path!(), "::", stringify!($name)
-            ));
+            let config = config.with_env_overrides();
+            let test = concat!(module_path!(), "::", stringify!($name));
+            let seed = $crate::test_runner::env_seed();
+            let mut rng = $crate::test_runner::TestRng::for_test_seeded(test, seed);
+            let mut report = $crate::test_runner::FailureReport::new(test, seed);
             for __case in 0..config.cases {
-                let _ = __case;
+                report.case = __case;
                 $(let $arg = $crate::strategy::Strategy::sample(&($strat), &mut rng);)+
                 $body
             }

@@ -13,6 +13,100 @@ impl ProptestConfig {
     pub fn with_cases(cases: u32) -> Self {
         Self { cases }
     }
+
+    /// This config with the `PROPTEST_CASES` environment override applied:
+    /// when set, it replaces the case count of every test, including one
+    /// set with [`with_cases`](Self::with_cases).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `PROPTEST_CASES` is set but is not an unsigned integer.
+    #[must_use]
+    pub fn with_env_overrides(self) -> Self {
+        self.with_cases_override(env_override("PROPTEST_CASES"))
+    }
+
+    fn with_cases_override(self, cases: Option<u32>) -> Self {
+        cases.map_or(self, Self::with_cases)
+    }
+}
+
+/// The `PROPTEST_SEED` environment override, mixed into every test's
+/// stream by [`TestRng::for_test_seeded`]; `None` when unset.
+///
+/// # Panics
+///
+/// Panics if `PROPTEST_SEED` is set but is not an unsigned integer.
+#[must_use]
+pub fn env_seed() -> Option<u64> {
+    env_override("PROPTEST_SEED")
+}
+
+/// Reads a numeric override from the environment: `None` when unset or
+/// empty. A malformed value panics rather than silently running the
+/// default cases.
+fn env_override<T: std::str::FromStr>(name: &str) -> Option<T> {
+    parse_override(name, std::env::var(name).ok().as_deref())
+}
+
+fn parse_override<T: std::str::FromStr>(name: &str, value: Option<&str>) -> Option<T> {
+    let value = value?.trim();
+    if value.is_empty() {
+        return None;
+    }
+    match value.parse() {
+        Ok(parsed) => Some(parsed),
+        Err(_) => panic!("{name} must be an unsigned integer, got {value:?}"),
+    }
+}
+
+/// Reports which case of which test failed, so the failure can be rerun:
+/// the [`proptest!`](crate::proptest) expansion keeps one alive across its
+/// case loop, and dropping it while the thread panics prints the test
+/// name, the seed and the case index before the panic propagates.
+#[derive(Debug)]
+pub struct FailureReport {
+    test: &'static str,
+    seed: Option<u64>,
+    /// The case running now (0-based).
+    pub case: u32,
+}
+
+impl FailureReport {
+    /// A report for `test`, run with `seed` (`None`: the default stream).
+    #[must_use]
+    pub fn new(test: &'static str, seed: Option<u64>) -> Self {
+        Self {
+            test,
+            seed,
+            case: 0,
+        }
+    }
+
+    fn message(&self) -> String {
+        let seed = match self.seed {
+            Some(seed) => format!("PROPTEST_SEED={seed}"),
+            None => "PROPTEST_SEED unset (the default stream)".to_string(),
+        };
+        format!(
+            "proptest: {} failed at case {} with {seed}; rerun with the same \
+             PROPTEST_SEED and PROPTEST_CASES of at least {} to reproduce it",
+            self.test,
+            self.case,
+            self.case + 1
+        )
+    }
+}
+
+impl Drop for FailureReport {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // `eprintln!` panics when stderr fails, and a second panic
+            // while unwinding aborts: a lost report is the lesser harm.
+            use std::io::Write;
+            let _ = writeln!(std::io::stderr(), "{}", self.message());
+        }
+    }
 }
 
 impl Default for ProptestConfig {
@@ -22,19 +116,29 @@ impl Default for ProptestConfig {
 }
 
 /// The per-test random stream: SplitMix64 seeded from a hash of the test's
-/// full path, so every test explores its own (stable) sequence of cases.
+/// full path (and of the run seed, if one is given), so every test explores
+/// its own (stable) sequence of cases.
 #[derive(Debug, Clone)]
 pub struct TestRng {
     state: u64,
 }
 
 impl TestRng {
-    /// Seeds the stream for the named test.
+    /// Seeds the default stream for the named test.
     #[must_use]
     pub fn for_test(name: &str) -> Self {
-        // FNV-1a over the test path gives a stable, well-mixed seed.
+        Self::for_test_seeded(name, None)
+    }
+
+    /// Seeds the stream for the named test with `seed` mixed in; `None`
+    /// gives the default stream of [`for_test`](Self::for_test).
+    #[must_use]
+    pub fn for_test_seeded(name: &str, seed: Option<u64>) -> Self {
+        // FNV-1a over the test path, then over the seed's bytes, gives a
+        // stable, well-mixed seed.
+        let seed_bytes = seed.map(u64::to_le_bytes);
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for byte in name.bytes() {
+        for byte in name.bytes().chain(seed_bytes.into_iter().flatten()) {
             hash ^= u64::from(byte);
             hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -76,6 +180,48 @@ mod tests {
         let mut c = TestRng::for_test("x::other");
         assert_eq!(a.next_u64(), b.next_u64());
         assert_ne!(a.next_u64(), c.next_u64());
+    }
+
+    #[test]
+    fn default_stream_is_unchanged_and_seeds_pick_other_streams() {
+        // The first draw of the default stream, pinned: PROPTEST_SEED unset
+        // must keep sampling exactly the cases it always has.
+        assert_eq!(TestRng::for_test("x::t").next_u64(), 0x7bb7_d7b9_9607_2cf5);
+        let first = |seed| TestRng::for_test_seeded("x::t", seed).next_u64();
+        assert_eq!(first(None), TestRng::for_test("x::t").next_u64());
+        assert_eq!(first(Some(7)), first(Some(7)));
+        assert_ne!(first(Some(7)), first(None));
+        assert_ne!(first(Some(7)), first(Some(8)));
+    }
+
+    #[test]
+    fn overrides_parse_and_replace_the_case_count() {
+        assert_eq!(parse_override::<u64>("PROPTEST_SEED", None), None);
+        assert_eq!(parse_override::<u64>("PROPTEST_SEED", Some(" ")), None);
+        assert_eq!(parse_override::<u64>("PROPTEST_SEED", Some("42")), Some(42));
+        assert_eq!(parse_override::<u32>("PROPTEST_CASES", Some("5")), Some(5));
+        let config = ProptestConfig::with_cases(96);
+        assert_eq!(config.with_cases_override(None).cases, 96);
+        assert_eq!(config.with_cases_override(Some(5)).cases, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "PROPTEST_SEED must be an unsigned integer")]
+    fn malformed_override_panics() {
+        let _ = parse_override::<u64>("PROPTEST_SEED", Some("abc"));
+    }
+
+    #[test]
+    fn failure_report_names_test_seed_and_case() {
+        let mut report = FailureReport::new("x::t", Some(9));
+        report.case = 3;
+        let message = report.message();
+        assert!(message.contains("x::t"), "{message}");
+        assert!(message.contains("case 3"), "{message}");
+        assert!(message.contains("PROPTEST_SEED=9"), "{message}");
+        assert!(FailureReport::new("x::t", None)
+            .message()
+            .contains("PROPTEST_SEED unset"));
     }
 
     #[test]
