@@ -9,10 +9,11 @@
 
 use crate::system::ReputationSystem;
 use mdrep::{OwnerEvaluation, Params, ReputationMatrix, TrustTier};
-use mdrep_matrix::SparseMatrix;
+use mdrep_matrix::{normalized_entries, CsrMatrix, RowRun, UserIndex};
 use mdrep_types::{FileId, FileSize, SimTime, UserId};
 use mdrep_workload::{Catalog, EventKind, TraceEvent};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The multi-trust hybrid over download-volume one-step trust.
 ///
@@ -62,14 +63,22 @@ impl MultiTrustHybrid {
 
     /// The one-step (tier 1) matrix: row-normalized download volume.
     #[must_use]
-    pub fn one_step(&self) -> SparseMatrix {
-        let mut m = SparseMatrix::new();
-        for (&(d, u), &v) in &self.volumes {
-            if v > 0.0 {
-                m.set(d, u, v).expect("non-negative");
-            }
+    pub fn one_step(&self) -> CsrMatrix {
+        let mut entries: Vec<(UserId, UserId, f64)> = self
+            .volumes
+            .iter()
+            .filter(|&(_, &v)| v > 0.0)
+            .map(|(&(d, u), &v)| (d, u, v))
+            .collect();
+        entries.sort_unstable_by_key(|&(d, u, _)| (d, u));
+        let mut run = RowRun::with_capacity(entries.len());
+        for row in entries.chunk_by(|a, b| a.0 == b.0) {
+            run.push_row(
+                row[0].0,
+                normalized_entries(row.iter().map(|&(_, u, v)| (u, v))),
+            );
         }
-        m.normalized_rows()
+        CsrMatrix::from_row_runs(&Arc::new(UserIndex::from_ids(run.ids())), vec![run])
     }
 
     /// The first tier at which `i` reaches `j`, if any.
@@ -106,7 +115,7 @@ impl ReputationSystem for MultiTrustHybrid {
             .steps(self.steps)
             .build()
             .expect("steps >= 1");
-        self.rm = Some(ReputationMatrix::compute(&self.one_step(), &params));
+        self.rm = Some(ReputationMatrix::compute_csr(self.one_step(), &params));
     }
 
     /// Tier-aware reputation: a tier-`k` relationship of value `v` maps to

@@ -72,7 +72,7 @@ fn experiment() {
         let mut row = vec![k, nnz as f64];
         for &n in &steps {
             let params = Params::builder().eta(0.0).steps(n).build().expect("valid");
-            let rm = ReputationMatrix::compute(&fm, &params);
+            let rm = ReputationMatrix::compute_csr(fm.clone(), &params);
             // Reachability within ≤ n steps: a request is covered if any
             // tier reaches it (the multi-tier service view).
             let covered = requests

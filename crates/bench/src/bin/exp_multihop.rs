@@ -59,7 +59,7 @@ fn sparse_fm(trace: &mdrep_workload::Trace, end: SimTime, coverage: f64) -> Spar
         }
     }
     let eta0 = Params::builder().eta(0.0).build().expect("valid");
-    FileTrust::compute(&store, end, &eta0).matrix()
+    FileTrust::compute(&store, end, &eta0).matrix().thaw()
 }
 
 /// The `TOP_RANK` heaviest entries of a row, ties toward the smaller id

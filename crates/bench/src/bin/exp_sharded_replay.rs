@@ -10,8 +10,9 @@
 //!   `--query-threads`, `--seed` — replay shape (default: the ISSUE's
 //!   170k-user Maze-scale configuration);
 //! - `--quick` — smoke scale (2k users), for the bench-smoke lane;
-//! - `--paper` — paper scale (1M users / 24.6M events, capped Eq. 2
-//!   evaluator pairing) — the one-machine headline run;
+//! - `--million-users` — 1M users / 24.6M events with capped Eq. 2
+//!   evaluator pairing: an extrapolation past the paper's Maze trace
+//!   (1.7×10⁵ users) to the one-machine ceiling;
 //! - `--threads` — recompute worker threads (0 = auto);
 //! - `--max-evaluators` — Eq. 2 evaluator cap per file (0 = unbounded);
 //! - `--max-wall-secs` — wall-clock budget for the replay itself
@@ -37,8 +38,8 @@ fn has_flag(flag: &str) -> bool {
 fn config_from_args() -> ReplayConfig {
     let mut config = if has_flag("--quick") {
         ReplayConfig::smoke()
-    } else if has_flag("--paper") {
-        ReplayConfig::paper_scale()
+    } else if has_flag("--million-users") {
+        ReplayConfig::million_users()
     } else {
         ReplayConfig::maze_scale()
     };

@@ -19,10 +19,7 @@ use crate::reputation::ReputationMatrix;
 use crate::snapshot::EngineSnapshot;
 use crate::user_trust::UserTrust;
 use crate::volume_trust::VolumeTrust;
-use mdrep_matrix::{
-    approx_row_bytes, blend_entries, map_chunks, normalized_entries, CsrMatrix, RowRun,
-    SparseVector, UserIndex,
-};
+use mdrep_matrix::{blend_entries, map_chunks, normalized_entries, CsrMatrix, RowRun, UserIndex};
 use mdrep_types::{Evaluation, FileId, FileSize, SimTime, UserId};
 use mdrep_workload::{Catalog, EventKind, TraceEvent};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -121,7 +118,7 @@ pub struct ReputationEngine {
 /// previous matrices that keep every clean row.
 #[derive(Clone, Copy)]
 struct RowSources<'a> {
-    ft: &'a mdrep_matrix::SparseMatrix,
+    ft: &'a CsrMatrix,
     volume: &'a VolumeTrust,
     user_trust: &'a UserTrust,
     evals: &'a EvaluationStore,
@@ -150,9 +147,9 @@ impl RowSources<'_> {
     /// and the previous rows where not.
     fn build_row(&self, u: UserId) -> RowParts {
         let fresh: [&dyn Fn() -> Row; 3] = [
-            &|| normalized_entries(self.ft.row(u).into_iter().flatten()),
-            &|| normalized_entries(&self.volume.vd_row(u, self.evals, self.now, self.params)),
-            &|| normalized_entries(&self.user_trust.ut_row(u)),
+            &|| normalized_entries(self.ft.row_entries(u)),
+            &|| normalized_entries(self.volume.vd_row(u, self.evals, self.now, self.params)),
+            &|| normalized_entries(self.user_trust.ut_row(u)),
         ];
         // `(rebuilt, row)` per store: the fresh row, or the previous
         // matrix's row when an incremental rebuild finds it clean.
@@ -176,22 +173,24 @@ impl RowSources<'_> {
     }
 }
 
-/// One dirty row's rebuilt slabs (as in [`RowParts`]), ready for the
-/// serial merge into the CSR overlays. Slabs are `Arc`-wrapped on the
+/// One dirty row's rebuilt rows (as in [`RowParts`]), ready for the
+/// serial merge into the CSR overlays. Rows are `Arc`-wrapped on the
 /// worker so the merge is a pointer insert per row.
 struct RowPatch {
     user: UserId,
-    parts: [Option<Arc<SparseVector>>; 3],
-    tm: Arc<SparseVector>,
+    parts: [Option<SharedRow>; 3],
+    tm: SharedRow,
 }
+
+/// A [`Row`] as the overlays hold it: `TM` and a one-step `RM` share one.
+type SharedRow = Arc<[(UserId, f64)]>;
 
 impl RowParts {
     fn into_patch(self, user: UserId) -> RowPatch {
-        let slab = |row: Row| Arc::new(row.into_iter().collect::<SparseVector>());
         RowPatch {
             user,
-            parts: self.parts.map(|part| part.map(slab)),
-            tm: slab(self.tm),
+            parts: self.parts.map(|part| part.map(Arc::from)),
+            tm: Arc::from(self.tm),
         }
     }
 }
@@ -488,9 +487,9 @@ impl ReputationEngine {
     /// dirty union in [`RecomputeMode::Incremental`] and every known row
     /// otherwise; both run the same three phases:
     ///
-    /// 1. **Equation 2** (`fm_build`) — parallel by row, then a serial
-    ///    sink into the raw `FT` builder: over the dirty users or, from an
-    ///    empty `FT`, over everyone (`FileTrustState`).
+    /// 1. **Equation 2** (`fm_build`) — parallel by row, into the raw CSR
+    ///    `FT` (`FileTrustState`): over everyone, stitched into fresh
+    ///    arrays, or over the dirty users, one overlay patch per row.
     /// 2. **Rows** (`integrate`) — shard-parallel and pure: the row set is
     ///    split into contiguous ranges ([`map_chunks`]) and one worker
     ///    per range builds each row's `FM`/`DM`/`UM` rows and its blended
@@ -549,6 +548,7 @@ impl ReputationEngine {
                 .file_trust
                 .raw()
                 .row_ids()
+                .into_iter()
                 .chain(self.volume.rows())
                 .chain(self.user_trust.rows())
                 .collect(),
@@ -583,9 +583,9 @@ impl ReputationEngine {
                     .flatten()
                     .collect()
                 };
-                // Fold the prebuilt slabs into the CSR overlays in
+                // Fold the prebuilt rows into the CSR overlays in
                 // ascending id order, tallying the copy-on-write publish
-                // cost (only these slabs are new bytes in the next
+                // cost (only these rows are new bytes in the next
                 // snapshot; everything else is shared).
                 let _phase = mdrep_obs::phase("engine.recompute.merge");
                 let mut publish_bytes = 0usize;
@@ -595,19 +595,19 @@ impl ReputationEngine {
                     let matrices = [&mut comps.fm, &mut comps.dm, &mut comps.um];
                     for (matrix, part) in matrices.into_iter().zip(patch.parts) {
                         if let Some(row) = part {
-                            publish_bytes += approx_row_bytes(row.len());
-                            matrix.set_row_arc(u, row);
+                            publish_bytes += std::mem::size_of_val(&*row);
+                            matrix.set_row(u, row);
                         }
                     }
-                    // One slab serves both matrices on the one-step path
+                    // One row serves both matrices on the one-step path
                     // (overlay rows are immutable), so it is priced once.
-                    publish_bytes += approx_row_bytes(patch.tm.len());
+                    publish_bytes += std::mem::size_of_val(&*patch.tm);
                     if one_step {
-                        // RM = TM: patch both from the same blended slab.
-                        comps.tm.set_row_arc(u, Arc::clone(&patch.tm));
-                        rm.set_one_step_row_arc(u, patch.tm);
+                        // RM = TM: patch both from the same blended row.
+                        comps.tm.set_row(u, Arc::clone(&patch.tm));
+                        rm.set_one_step_row(u, patch.tm);
                     } else {
-                        comps.tm.set_row_arc(u, patch.tm);
+                        comps.tm.set_row(u, patch.tm);
                     }
                 }
                 if !one_step {
@@ -632,7 +632,7 @@ impl ReputationEngine {
                         // hold the process's peak RSS well above the data.
                         let mut bounds = [0usize; 3];
                         for &u in shard {
-                            bounds[0] += every_row.ft.row(u).map_or(0, SparseVector::len);
+                            bounds[0] += every_row.ft.row_entries(u).count();
                             bounds[1] += every_row.volume.uploader_count(u);
                             bounds[2] += every_row.user_trust.rating_count(u);
                         }

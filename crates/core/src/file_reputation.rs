@@ -73,13 +73,13 @@ impl fmt::Display for DownloadDecision {
 ///
 /// ```
 /// use mdrep::{file_reputation, OwnerEvaluation, Params, ReputationMatrix};
-/// use mdrep_matrix::SparseMatrix;
+/// use mdrep_matrix::{CsrMatrix, SparseMatrix};
 /// use mdrep_types::{Evaluation, UserId};
 ///
 /// let (me, friend, stranger) = (UserId::new(0), UserId::new(1), UserId::new(2));
 /// let mut tm = SparseMatrix::new();
 /// tm.set(me, friend, 1.0)?;
-/// let rm = ReputationMatrix::compute(&tm, &Params::default());
+/// let rm = ReputationMatrix::compute_csr(CsrMatrix::freeze(&tm), &Params::default());
 ///
 /// // My friend says the file is fake; a stranger praises it.
 /// let evals = [
@@ -125,13 +125,13 @@ pub fn file_reputation(
 ///
 /// ```
 /// use mdrep::{file_reputation_batch, OwnerEvaluation, Params, ReputationMatrix};
-/// use mdrep_matrix::SparseMatrix;
+/// use mdrep_matrix::{CsrMatrix, SparseMatrix};
 /// use mdrep_types::{Evaluation, UserId};
 ///
 /// let (a, b, owner) = (UserId::new(0), UserId::new(1), UserId::new(2));
 /// let mut tm = SparseMatrix::new();
 /// tm.set(a, owner, 1.0)?;
-/// let rm = ReputationMatrix::compute(&tm, &Params::default());
+/// let rm = ReputationMatrix::compute_csr(CsrMatrix::freeze(&tm), &Params::default());
 ///
 /// let evals = [OwnerEvaluation::new(owner, Evaluation::BEST)];
 /// let scores = file_reputation_batch(&rm, &[a, b], &evals);
@@ -201,7 +201,7 @@ pub fn download_decision(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdrep_matrix::SparseMatrix;
+    use mdrep_matrix::{CsrMatrix, SparseMatrix};
 
     fn u(i: u64) -> UserId {
         UserId::new(i)
@@ -216,7 +216,7 @@ mod tests {
         for &(i, j, v) in entries {
             tm.set(u(i), u(j), v).unwrap();
         }
-        ReputationMatrix::compute(&tm, &Params::default())
+        ReputationMatrix::compute_csr(CsrMatrix::freeze(&tm), &Params::default())
     }
 
     #[test]

@@ -12,9 +12,10 @@
 
 use crate::eval::EvaluationStore;
 use crate::params::Params;
-use mdrep_matrix::{map_chunks, SparseMatrix, SparseVector};
+use mdrep_matrix::{map_chunks, normalized_entries, CsrMatrix, RowRun, UserIndex};
 use mdrep_types::{Evaluation, FileId, SimTime, UserId};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// The per-file distance used inside Equation 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -90,7 +91,7 @@ pub struct FileTrustOptions {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FileTrust {
-    ft: SparseMatrix,
+    ft: CsrMatrix,
 }
 
 impl FileTrust {
@@ -121,14 +122,19 @@ impl FileTrust {
 
     /// The raw symmetric `FT` matrix (Equation 2).
     #[must_use]
-    pub fn raw(&self) -> &SparseMatrix {
+    pub fn raw(&self) -> &CsrMatrix {
         &self.ft
     }
 
-    /// The row-normalized one-step matrix `FM` (Equation 3).
+    /// The row-normalized one-step matrix `FM` (Equation 3), each row
+    /// normalized by [`normalized_entries`] as the engine does.
     #[must_use]
-    pub fn matrix(&self) -> SparseMatrix {
-        self.ft.normalized_rows()
+    pub fn matrix(&self) -> CsrMatrix {
+        let mut run = RowRun::with_capacity(self.ft.nnz());
+        for r in self.ft.row_ids() {
+            run.push_row(r, normalized_entries(self.ft.row_entries(r)));
+        }
+        CsrMatrix::from_row_runs(&Arc::new(UserIndex::from_ids(run.ids())), vec![run])
     }
 }
 
@@ -145,9 +151,13 @@ impl FileTrust {
 /// dirty–dirty pairs — from scratch, over all their common files, through
 /// the same pass as [`full_rebuild`](Self::full_rebuild), which makes the
 /// incremental result bit-identical to [`FileTrust::compute_with`].
+///
+/// `FT` is a [`CsrMatrix`]: a full rebuild stitches fresh arrays from the
+/// workers' row runs, and a dirty-row rebuild patches each dirty row once
+/// through the overlay.
 #[derive(Debug, Clone, Default)]
 pub struct FileTrustState {
-    ft: SparseMatrix,
+    ft: CsrMatrix,
     dirty: BTreeSet<UserId>,
 }
 
@@ -160,7 +170,7 @@ impl FileTrustState {
 
     /// The raw symmetric `FT` matrix (Equation 2).
     #[must_use]
-    pub fn raw(&self) -> &SparseMatrix {
+    pub fn raw(&self) -> &CsrMatrix {
         &self.ft
     }
 
@@ -177,10 +187,8 @@ impl FileTrustState {
     /// Marks a removed (whitewashed/expired) user dirty together with every
     /// current `FT` partner — their pairs with `user` must be dropped.
     pub fn mark_user_removed(&mut self, user: UserId) {
-        if let Some(row) = self.ft.row(user) {
-            let partners: Vec<UserId> = row.keys().copied().collect();
-            self.dirty.extend(partners);
-        }
+        self.dirty
+            .extend(self.ft.row_entries(user).map(|(partner, _)| partner));
         self.dirty.insert(user);
     }
 
@@ -200,13 +208,12 @@ impl FileTrustState {
         options: FileTrustOptions,
     ) {
         self.dirty.clear();
-        self.ft = SparseMatrix::new();
         accumulate_pairs(&mut self.ft, store, now, params, options, None);
     }
 
-    /// Recomputes exactly the dirty–dirty pairs in place and drains the
-    /// dirty set. Returns the processed users (ascending) so the caller can
-    /// renormalize their `FM` rows.
+    /// Recomputes exactly the dirty–dirty pairs and drains the dirty set,
+    /// patching each dirty row once. Returns the processed users
+    /// (ascending) so the caller can renormalize their `FM` rows.
     pub fn apply_dirty(
         &mut self,
         store: &EvaluationStore,
@@ -217,25 +224,6 @@ impl FileTrustState {
         let dirty = std::mem::take(&mut self.dirty);
         if dirty.is_empty() {
             return Vec::new();
-        }
-
-        // Drop every dirty–dirty entry; unchanged pairs (one clean
-        // endpoint) are left alone.
-        for &i in &dirty {
-            let stale: Vec<UserId> = self
-                .ft
-                .row(i)
-                .map(|row| {
-                    row.keys()
-                        .copied()
-                        .filter(|j| *j > i && dirty.contains(j))
-                        .collect()
-                })
-                .unwrap_or_default();
-            for j in stale {
-                self.ft.remove(i, j);
-                self.ft.remove(j, i);
-            }
         }
         accumulate_pairs(&mut self.ft, store, now, params, options, Some(&dirty));
         dirty.into_iter().collect()
@@ -358,16 +346,22 @@ impl MemberTable {
         }
     }
 
-    /// The `FT` rows of the users at `rows` (indices into
-    /// [`users`](Self::users)), each as its nonzero entries in ascending
-    /// column order. One dense `(sum, count)` accumulator serves every row:
-    /// row `a` walks its files in ascending order and adds its distance to
-    /// every co-member, so each pair sums its common files in ascending
-    /// file order — the order the symmetric entry's row uses too.
-    fn trust_rows(&self, rows: &[usize], metric: DistanceMetric) -> Vec<(UserId, SparseVector)> {
+    /// Hands `sink` the `FT` row of each user at `rows` (indices into
+    /// [`users`](Self::users)) that has an entry, in order, as its nonzero
+    /// entries in ascending column order. One dense `(sum, count)`
+    /// accumulator serves every row: row `a` walks its files in ascending
+    /// order and adds its distance to every co-member, so each pair sums
+    /// its common files in ascending file order — the order the symmetric
+    /// entry's row uses too.
+    fn trust_rows(
+        &self,
+        rows: &[usize],
+        metric: DistanceMetric,
+        mut sink: impl FnMut(UserId, &[(UserId, f64)]),
+    ) {
         let mut acc = vec![(0.0, 0usize); self.users.len()];
         let mut touched: Vec<usize> = Vec::new();
-        let mut out = Vec::with_capacity(rows.len());
+        let mut row: Vec<(UserId, f64)> = Vec::new();
         for &a in rows {
             for &(slot, ea) in &self.user_files[self.user_start[a]..self.user_start[a + 1]] {
                 for &(b, eb) in &self.members[self.file_start[slot]..self.file_start[slot + 1]] {
@@ -382,20 +376,17 @@ impl MemberTable {
                 }
             }
             touched.sort_unstable();
-            let row: SparseVector = touched
-                .drain(..)
-                .filter_map(|b| {
-                    let (sum, m) = std::mem::take(&mut acc[b]);
-                    let trust = metric.to_trust(sum, m);
-                    // Zero-trust pairs stay absent (sparse Equation 2).
-                    (trust > 0.0).then_some((self.users[b], trust))
-                })
-                .collect();
+            row.clear();
+            row.extend(touched.drain(..).filter_map(|b| {
+                let (sum, m) = std::mem::take(&mut acc[b]);
+                let trust = metric.to_trust(sum, m);
+                // Zero-trust pairs stay absent (sparse Equation 2).
+                (trust > 0.0).then_some((self.users[b], trust))
+            }));
             if !row.is_empty() {
-                out.push((self.users[a], row));
+                sink(self.users[a], &row);
             }
         }
-        out
     }
 }
 
@@ -423,8 +414,14 @@ fn workers(threads: usize, pair_updates: u64) -> usize {
 /// [`DistanceMetric::per_file`] is exactly symmetric, so `FT_ab` and
 /// `FT_ba` are the same bits, whichever rows (a full or a dirty-row
 /// rebuild) and whatever thread count computed them.
+///
+/// A full pass replaces `ft` with the workers' row runs, stitched under
+/// the member users' index. A dirty pass patches every eligible user's
+/// row once: its old entries whose column is clean (unchanged, by the
+/// dirtying contract), merged in column order with the fresh dirty-column
+/// entries; an empty result masks the row.
 fn accumulate_pairs(
-    ft: &mut SparseMatrix,
+    ft: &mut CsrMatrix,
     store: &EvaluationStore,
     now: SimTime,
     params: &Params,
@@ -439,18 +436,36 @@ fn accumulate_pairs(
 
     let rows: Vec<usize> = (0..table.users.len()).collect();
     let threads = workers(params.effective_threads(), table.work.pair_updates);
-    let chunks = map_chunks(&rows, threads, |chunk| {
-        table.trust_rows(chunk, options.metric)
-    });
-    for (a, row) in chunks.into_iter().flatten() {
-        if eligible.is_none() {
-            // A full rebuild starts from an empty FT: one write per row.
-            ft.set_row(a, row).expect("trust in [0,1]");
-        } else {
-            for (b, trust) in row {
-                ft.set(a, b, trust).expect("trust in [0,1]");
-            }
+    let Some(dirty) = eligible else {
+        let runs = map_chunks(&rows, threads, |chunk| {
+            let mut run = RowRun::default();
+            table.trust_rows(chunk, options.metric, |a, row| {
+                run.push_row(a, row.iter().copied());
+            });
+            run
+        });
+        let index = Arc::new(UserIndex::from_ids(table.users.iter().copied()));
+        *ft = CsrMatrix::from_row_runs(&index, runs);
+        return table.work;
+    };
+    let mut fresh = map_chunks(&rows, threads, |chunk| {
+        let mut out = Vec::new();
+        table.trust_rows(chunk, options.metric, |a, row| out.push((a, row.to_vec())));
+        out
+    })
+    .into_iter()
+    .flatten()
+    .peekable();
+    for &user in dirty {
+        let mut row: Vec<(UserId, f64)> = ft
+            .row_entries(user)
+            .filter(|(c, _)| !dirty.contains(c))
+            .collect();
+        if let Some((_, entries)) = fresh.next_if(|&(a, _)| a == user) {
+            row.extend(entries);
+            row.sort_unstable_by_key(|&(c, _)| c);
         }
+        ft.set_row(user, row);
     }
     table.work
 }
@@ -630,7 +645,7 @@ mod tests {
             max_evaluators_per_file: Some(3),
             ..Default::default()
         };
-        let mut ft = SparseMatrix::new();
+        let mut ft = CsrMatrix::default();
         let work = accumulate_pairs(
             &mut ft,
             &store,

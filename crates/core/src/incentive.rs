@@ -259,7 +259,10 @@ mod tests {
         let mut tm = SparseMatrix::new();
         tm.set(u(0), u(1), 0.6).unwrap();
         tm.set(u(0), u(2), 0.3).unwrap();
-        let rm = crate::reputation::ReputationMatrix::compute(&tm, &Params::default());
+        let rm = crate::reputation::ReputationMatrix::compute_csr(
+            mdrep_matrix::CsrMatrix::freeze(&tm),
+            &Params::default(),
+        );
         let policy = ServicePolicy::default();
 
         let best = policy.decide(&rm, u(0), u(1));
@@ -282,7 +285,10 @@ mod tests {
     #[test]
     fn uploader_with_no_trust_throttles_everyone() {
         let tm = SparseMatrix::new();
-        let rm = crate::reputation::ReputationMatrix::compute(&tm, &Params::default());
+        let rm = crate::reputation::ReputationMatrix::compute_csr(
+            mdrep_matrix::CsrMatrix::freeze(&tm),
+            &Params::default(),
+        );
         let policy = ServicePolicy::default();
         let d = policy.decide(&rm, u(0), u(1));
         assert!(d.is_throttled());

@@ -7,9 +7,10 @@
 //! overlays — so does this module.
 
 use crate::params::Params;
-use mdrep_matrix::{CsrMatrix, PowerOptions, SparseMatrix, SparseVector};
+use mdrep_matrix::{CsrMatrix, PowerOptions};
 use mdrep_types::UserId;
 use std::fmt;
+use std::sync::Arc;
 
 /// Which trust tier a peer falls into from a requester's point of view.
 ///
@@ -36,7 +37,7 @@ impl fmt::Display for TrustTier {
 ///
 /// ```
 /// use mdrep::{Params, ReputationMatrix};
-/// use mdrep_matrix::SparseMatrix;
+/// use mdrep_matrix::{CsrMatrix, SparseMatrix};
 /// use mdrep_types::UserId;
 ///
 /// // A trust chain 0 → 1 → 2 with two multi-trust steps.
@@ -45,7 +46,7 @@ impl fmt::Display for TrustTier {
 /// tm.set(UserId::new(1), UserId::new(2), 1.0)?;
 /// let params = Params::builder().steps(2).build().expect("valid");
 ///
-/// let rm = ReputationMatrix::compute(&tm, &params);
+/// let rm = ReputationMatrix::compute_csr(CsrMatrix::freeze(&tm), &params);
 /// // User 2 is reachable from 0 only at tier 2.
 /// assert_eq!(rm.tier_of(UserId::new(0), UserId::new(2)).unwrap().level, 2);
 /// # Ok::<(), mdrep_matrix::MatrixError>(())
@@ -58,15 +59,6 @@ pub struct ReputationMatrix {
 impl ReputationMatrix {
     /// Computes `TM^1 … TM^n` (Equation 8 keeps the final power; the
     /// intermediate powers provide the tier view).
-    ///
-    /// Freezes the builder matrix into CSR once, then runs the contiguous
-    /// kernels — see [`Self::compute_csr`] for the frozen-input entry point.
-    #[must_use]
-    pub fn compute(tm: &SparseMatrix, params: &Params) -> Self {
-        Self::compute_csr(CsrMatrix::freeze(tm), params)
-    }
-
-    /// Computes the tiers from an already-frozen `TM`.
     ///
     /// The base matrix is compacted first (folding any dirty-row overlay
     /// into contiguous storage) so every SpGEMM step runs on pure
@@ -104,21 +96,18 @@ impl ReputationMatrix {
 
     /// Patches one row of a single-step (`n = 1`) matrix in place — the
     /// dirty-row recompute path, where `RM` *is* `TM` and only changed rows
-    /// need rewriting. Takes the worker-prebuilt slab so `TM` and `RM`
-    /// share one `Arc` per patched row. An empty slab removes the row.
+    /// need rewriting. Takes the worker-prebuilt row so `TM` and `RM`
+    /// share one `Arc` per patched row. An empty row removes the row.
     ///
     /// # Panics
     ///
     /// Panics (debug) when more than one tier exists; multi-step matrices
-    /// must be recomputed from the patched `TM` instead.
-    pub(crate) fn set_one_step_row_arc(
-        &mut self,
-        row: UserId,
-        values: std::sync::Arc<SparseVector>,
-    ) {
+    /// must be recomputed from the patched `TM` instead. Panics on rows
+    /// [`CsrMatrix::set_row`] rejects.
+    pub(crate) fn set_one_step_row(&mut self, row: UserId, values: Arc<[(UserId, f64)]>) {
         debug_assert_eq!(self.tiers.len(), 1, "row patching requires n = 1");
         let tier = self.tiers.first_mut().expect("at least one tier");
-        tier.set_row_arc(row, values);
+        tier.set_row(row, values);
     }
 
     /// Approximate heap bytes across all tiers (frozen storage plus
@@ -179,6 +168,12 @@ impl ReputationMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdrep_matrix::SparseMatrix;
+
+    /// Equation 8 over a reference `TM`.
+    fn compute(tm: &SparseMatrix, params: &Params) -> ReputationMatrix {
+        ReputationMatrix::compute_csr(CsrMatrix::freeze(tm), params)
+    }
 
     fn u(i: u64) -> UserId {
         UserId::new(i)
@@ -200,7 +195,7 @@ mod tests {
     #[test]
     fn one_step_is_tm_itself() {
         let tm = chain();
-        let rm = ReputationMatrix::compute(&tm, &params(1));
+        let rm = compute(&tm, &params(1));
         assert_eq!(rm.steps(), 1);
         assert_eq!(rm.matrix(), &tm);
         assert_eq!(rm.reputation(u(0), u(1)), 1.0);
@@ -210,7 +205,7 @@ mod tests {
     #[test]
     fn deeper_steps_extend_reach() {
         let tm = chain();
-        let rm = ReputationMatrix::compute(&tm, &params(3));
+        let rm = compute(&tm, &params(3));
         // TM³ maps 0 → 3.
         assert_eq!(rm.reputation(u(0), u(3)), 1.0);
         assert_eq!(rm.reputation(u(0), u(1)), 0.0, "mass moved past tier 1");
@@ -219,7 +214,7 @@ mod tests {
     #[test]
     fn tiers_report_the_first_hop_count() {
         let tm = chain();
-        let rm = ReputationMatrix::compute(&tm, &params(3));
+        let rm = compute(&tm, &params(3));
         assert_eq!(rm.tier_of(u(0), u(1)).unwrap().level, 1);
         assert_eq!(rm.tier_of(u(0), u(2)).unwrap().level, 2);
         assert_eq!(rm.tier_of(u(0), u(3)).unwrap().level, 3);
@@ -244,7 +239,7 @@ mod tests {
         tm.set(u(0), u(2), 0.25).unwrap();
         tm.set(u(1), u(3), 1.0).unwrap();
         tm.set(u(2), u(3), 1.0).unwrap();
-        let rm = ReputationMatrix::compute(&tm, &params(2));
+        let rm = compute(&tm, &params(2));
         assert!((rm.reputation(u(0), u(3)) - 1.0).abs() < 1e-12);
     }
 
@@ -260,7 +255,7 @@ mod tests {
             .prune_threshold(0.05)
             .build()
             .unwrap();
-        let rm = ReputationMatrix::compute(&tm, &p);
+        let rm = compute(&tm, &p);
         assert_eq!(rm.reputation(u(0), u(4)), 0.0, "weak path pruned");
         assert!(rm.reputation(u(0), u(3)) > 0.9);
     }
@@ -268,21 +263,10 @@ mod tests {
     #[test]
     fn row_max_and_coverage() {
         let tm = chain();
-        let rm = ReputationMatrix::compute(&tm, &params(1));
+        let rm = compute(&tm, &params(1));
         assert_eq!(rm.row_max(u(0)), 1.0);
         assert_eq!(rm.row_max(u(3)), 0.0, "no row means no mass");
         let cov = rm.request_coverage(&[(u(0), u(1)), (u(0), u(2))]);
         assert!((cov - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn csr_entry_point_matches_builder_entry_point() {
-        let tm = chain();
-        for n in [1, 2, 3] {
-            let from_builder = ReputationMatrix::compute(&tm, &params(n));
-            let from_frozen =
-                ReputationMatrix::compute_csr(mdrep_matrix::CsrMatrix::freeze(&tm), &params(n));
-            assert_eq!(from_builder.matrix(), from_frozen.matrix());
-        }
     }
 }

@@ -5,7 +5,6 @@
 //! ordered pair is kept as `UT_ij`, and row-normalization yields the
 //! one-step matrix `UM` (Equation 6).
 
-use mdrep_matrix::SparseVector;
 use mdrep_types::{Evaluation, UserId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -22,9 +21,8 @@ use std::collections::{BTreeMap, BTreeSet};
 /// let (a, b, c) = (UserId::new(0), UserId::new(1), UserId::new(2));
 /// ut.add_friend(a, b);          // friend list → trust 1
 /// ut.add_blacklist(a, c);       // blacklist → trust 0
-/// let um_a = mdrep_matrix::normalized_row(&ut.ut_row(a)).unwrap();
-/// assert_eq!(um_a.get(&b), Some(&1.0));
-/// assert_eq!(um_a.get(&c), None);
+/// let um_a = mdrep_matrix::normalized_entries(ut.ut_row(a));
+/// assert_eq!(um_a, vec![(b, 1.0)]); // c's zero is absent
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct UserTrust {
@@ -119,12 +117,13 @@ impl UserTrust {
         self.ratings.is_empty()
     }
 
-    /// One row of the raw `UT` matrix: `rater`'s positive ratings. Zero
-    /// ratings (blacklist entries) are absent from the sparse form —
-    /// exactly their Equation 6 semantics, since a zero contributes nothing
-    /// to the normalized row. Every `UM` rebuild normalizes this row.
+    /// One row of the raw `UT` matrix: `rater`'s positive ratings, in
+    /// ascending target order. Zero ratings (blacklist entries) are absent
+    /// from the sparse form — exactly their Equation 6 semantics, since a
+    /// zero contributes nothing to the normalized row. Every `UM` rebuild
+    /// normalizes this row.
     #[must_use]
-    pub fn ut_row(&self, rater: UserId) -> SparseVector {
+    pub fn ut_row(&self, rater: UserId) -> Vec<(UserId, f64)> {
         self.ratings
             .get(&rater)
             .map(|targets| {
@@ -147,7 +146,7 @@ mod tests {
     fn um(ut: &UserTrust) -> SparseMatrix {
         let mut m = SparseMatrix::new();
         for rater in ut.rows() {
-            if let Some(row) = normalized_row(&ut.ut_row(rater)) {
+            if let Some(row) = normalized_row(&ut.ut_row(rater).into_iter().collect()) {
                 m.set_row(rater, row).expect("normalized rows are valid");
             }
         }
@@ -255,7 +254,7 @@ mod tests {
             "the blacklist entry is still a rating"
         );
         assert_eq!(ut.rating_count(u(1)), 0);
-        assert_eq!(row.get(&u(1)), Some(&0.6));
+        assert_eq!(row, vec![(u(1), 0.6), (u(2), 0.2)], "ascending targets");
         assert_eq!(ut.rows().collect::<Vec<_>>(), vec![u(0)]);
     }
 

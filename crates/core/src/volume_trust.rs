@@ -9,7 +9,6 @@
 
 use crate::eval::EvaluationStore;
 use crate::params::Params;
-use mdrep_matrix::{SparseMatrix, SparseVector};
 use mdrep_types::{FileId, FileSize, SimTime, UserId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -33,8 +32,10 @@ use std::collections::{BTreeMap, BTreeSet};
 /// // After a week of retention the evaluation saturates at 1,
 /// // so VD_ab = 1.0 · 100 MiB.
 /// let week = SimTime::ZERO + SimDuration::from_days(7);
-/// let vd = volume.raw(&evals, week, &params);
-/// assert!((vd.get(a, b) - 100.0).abs() < 1e-9);
+/// let vd_a = volume.vd_row(a, &evals, week, &params);
+/// assert_eq!(vd_a.len(), 1);
+/// assert_eq!(vd_a[0].0, b);
+/// assert!((vd_a[0].1 - 100.0).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct VolumeTrust {
@@ -131,8 +132,8 @@ impl VolumeTrust {
         evals: &EvaluationStore,
         now: SimTime,
         params: &Params,
-    ) -> SparseVector {
-        let mut row = SparseVector::new();
+    ) -> Vec<(UserId, f64)> {
+        let mut row = Vec::new();
         if let Some(uploads) = self.downloads.get(&downloader) {
             for (&uploader, files) in uploads {
                 let mut volume = 0.0;
@@ -142,31 +143,36 @@ impl VolumeTrust {
                     }
                 }
                 if volume > 0.0 {
-                    row.insert(uploader, volume);
+                    row.push((uploader, volume));
                 }
             }
         }
         row
-    }
-
-    /// Equation 4: the raw `VD` matrix at `now`. File sizes enter in MiB so
-    /// magnitudes stay well-conditioned; evaluations come from the store
-    /// (files the downloader no longer has a record for contribute nothing).
-    #[must_use]
-    pub fn raw(&self, evals: &EvaluationStore, now: SimTime, params: &Params) -> SparseMatrix {
-        let mut vd = SparseMatrix::new();
-        for downloader in self.rows() {
-            vd.set_row(downloader, self.vd_row(downloader, evals, now, params))
-                .expect("volumes are finite and non-negative");
-        }
-        vd
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdrep_matrix::SparseMatrix;
     use mdrep_types::{Evaluation, SimDuration};
+
+    impl VolumeTrust {
+        /// Equation 4: the raw `VD` matrix at `now`, every row a
+        /// [`vd_row`](VolumeTrust::vd_row). File sizes enter in MiB so
+        /// magnitudes stay well-conditioned; evaluations come from the
+        /// store (files the downloader no longer has a record for
+        /// contribute nothing).
+        fn raw(&self, evals: &EvaluationStore, now: SimTime, params: &Params) -> SparseMatrix {
+            let mut vd = SparseMatrix::new();
+            for downloader in self.rows() {
+                let row = self.vd_row(downloader, evals, now, params);
+                vd.set_row(downloader, row.into_iter().collect())
+                    .expect("volumes are finite and non-negative");
+            }
+            vd
+        }
+    }
 
     fn u(i: u64) -> UserId {
         UserId::new(i)
@@ -314,7 +320,12 @@ mod tests {
         );
         for r in vt.rows() {
             let row = vt.vd_row(r, &evals, SimTime::ZERO, &params);
-            assert_eq!(raw.row(r), Some(&row), "raw is the vd_row of every row");
+            let stored: Vec<(UserId, f64)> =
+                raw.row(r).unwrap().iter().map(|(&c, &v)| (c, v)).collect();
+            assert_eq!(
+                stored, row,
+                "vd_row ascends, and raw is the vd_row of every row"
+            );
             assert_eq!(
                 vt.uploader_count(r),
                 3,

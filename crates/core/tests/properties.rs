@@ -4,7 +4,7 @@ use mdrep::{
     file_reputation, EvaluationStore, FileTrust, OwnerEvaluation, Params, ReputationEngine,
     ReputationMatrix, ServicePolicy, UserTrust, Weights,
 };
-use mdrep_matrix::{blend, normalized_row, PowerOptions, SparseMatrix};
+use mdrep_matrix::{blend, normalized_entries, CsrMatrix, PowerOptions, SparseMatrix};
 use mdrep_types::{Evaluation, FileId, FileSize, SimDuration, SimTime, UserId};
 use proptest::prelude::*;
 
@@ -43,7 +43,7 @@ proptest! {
         for &(j, v) in &entries {
             tm.set(UserId::new(0), UserId::new(j), v).expect("valid");
         }
-        let rm = ReputationMatrix::compute(&tm, &Params::default());
+        let rm = ReputationMatrix::compute_csr(CsrMatrix::freeze(&tm), &Params::default());
         let owner_evals: Vec<OwnerEvaluation> = evals
             .iter()
             .map(|&(j, v)| OwnerEvaluation::new(UserId::new(j), Evaluation::new(v).expect("ok")))
@@ -76,8 +76,8 @@ proptest! {
             ut.rate(UserId::new(r), UserId::new(t), v);
         }
         for rater in ut.rows() {
-            let row = normalized_row(&ut.ut_row(rater)).unwrap_or_default();
-            let sum: f64 = row.values().sum();
+            let row = normalized_entries(ut.ut_row(rater));
+            let sum: f64 = row.iter().map(|&(_, v)| v).sum();
             prop_assert!(row.is_empty() || (sum - 1.0).abs() <= 1e-9);
         }
     }

@@ -5,15 +5,22 @@
 //! about *row-stochastic sparse matrices* over user ids:
 //!
 //! - Equations 3, 5 and 6 row-normalize raw trust scores into the one-step
-//!   matrices `FM`, `DM`, `UM` — [`SparseMatrix::normalized_rows`].
-//! - Equation 7 blends them: `TM = α·FM + β·DM + γ·UM` — [`blend`].
+//!   matrices `FM`, `DM`, `UM` — [`normalized_entries`], one row at a time.
+//! - Equation 7 blends them: `TM = α·FM + β·DM + γ·UM` — [`blend_entries`]
+//!   per row, [`blend_frozen`] per matrix.
 //! - Equation 8 raises the result to the n-th power: `RM = TM^n` —
-//!   [`SparseMatrix::power`].
+//!   [`CsrMatrix::power`].
 //! - EigenTrust (the baseline) computes the left principal eigenvector of
 //!   the trust matrix — [`principal_eigenvector`].
 //!
-//! The storage is row-major sparse (`BTreeMap` per row), which keeps
-//! iteration deterministic — important for reproducible experiments.
+//! Production code builds one matrix type, [`CsrMatrix`]: contiguous
+//! compressed-sparse-row arrays over interned user ids, stitched from
+//! worker [`RowRun`]s, with dirty rows patched in as sorted
+//! `(column, value)` slices. [`SparseMatrix`] (a `BTreeMap` per row) is the
+//! reference: the property tests and doc examples compute with it, and
+//! every CSR kernel must match its `BTreeMap` counterpart bit for bit.
+//! Both iterate in ascending user id, which keeps experiments
+//! reproducible.
 //!
 //! # Examples
 //!
@@ -37,7 +44,6 @@ mod csr;
 mod eigen;
 mod ops;
 mod sparse;
-mod stats;
 
 pub use csr::{blend_frozen, map_chunks, shard_ranges, ColumnSet, CsrMatrix, RowRun, UserIndex};
 pub use eigen::{principal_eigenvector, EigenOptions, EigenResult};
@@ -45,7 +51,5 @@ pub use ops::{
     blend, blend_entries, blend_parallel, blend_row, build_rows_parallel, BlendError, PowerOptions,
 };
 pub use sparse::{
-    approx_row_bytes, normalize_row_mut, normalized_entries, normalized_row, MatrixError,
-    SparseMatrix, SparseVector,
+    normalize_row_mut, normalized_entries, normalized_row, MatrixError, SparseMatrix, SparseVector,
 };
-pub use stats::MatrixStats;

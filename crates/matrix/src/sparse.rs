@@ -1,11 +1,12 @@
-//! Sparse matrix/vector storage over [`UserId`] indices.
+//! The reference sparse matrix/vector over [`UserId`] indices: `BTreeMap`
+//! rows, the form the property tests, doc examples and the EigenTrust
+//! baseline compute with, and the one every [`CsrMatrix`](crate::CsrMatrix)
+//! kernel is checked against bit for bit.
 
 use mdrep_types::UserId;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// Error returned when inserting an invalid (negative or non-finite) entry.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,34 +68,22 @@ pub fn normalize_row_mut(row: &mut SparseVector) -> bool {
     true
 }
 
-/// [`normalized_row`] over borrowed `(column, value)` entries in ascending
-/// column order, returned as a pair vector: the same column-order sum and
+/// [`normalized_row`] over `(column, value)` entries in ascending column
+/// order, returned as a pair vector: the same column-order sum and
 /// per-entry division, with entries that underflow to zero dropped. A
 /// zero-sum row normalizes to the empty row.
 #[must_use]
-pub fn normalized_entries<'a>(
-    raw: impl IntoIterator<Item = (&'a UserId, &'a f64)> + Clone,
+pub fn normalized_entries(
+    raw: impl IntoIterator<Item = (UserId, f64)> + Clone,
 ) -> Vec<(UserId, f64)> {
     let sum: f64 = raw.clone().into_iter().map(|(_, v)| v).sum();
     if sum <= 0.0 {
         return Vec::new();
     }
     raw.into_iter()
-        .map(|(&c, &v)| (c, v / sum))
+        .map(|(c, v)| (c, v / sum))
         .filter(|&(_, v)| v != 0.0)
         .collect()
-}
-
-/// Approximate heap bytes of one sparse row slab: the `BTreeMap` entries
-/// plus ~3 words of node overhead each, plus the key/`Arc` pair a
-/// copy-on-write overlay spends per patched row. This is the single unit
-/// of publish accounting — `CsrMatrix::overlay_bytes` and the engine's
-/// republished-bytes gauge both price rows through it, so their numbers
-/// stay comparable.
-#[must_use]
-pub fn approx_row_bytes(len: usize) -> usize {
-    len * (std::mem::size_of::<(UserId, f64)>() + 3 * std::mem::size_of::<usize>())
-        + 2 * std::mem::size_of::<usize>()
 }
 
 /// A sparse, row-major matrix over user ids with non-negative finite entries.
@@ -102,60 +91,9 @@ pub fn approx_row_bytes(len: usize) -> usize {
 /// Trust values are non-negative by construction in the paper (Equations
 /// 2–7), so the insertion API validates that invariant once and every
 /// downstream operation can rely on it.
-///
-/// [`nnz`](Self::nnz) and [`row_sum`](Self::row_sum) are cached after first
-/// use (the engine's per-recompute gauges hit both on every cycle); every
-/// mutation invalidates the cache. The cache is thread-safe — matrices are
-/// shared immutably across the scoped worker threads of the parallel
-/// kernels.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SparseMatrix {
     rows: BTreeMap<UserId, SparseVector>,
-    cache: MatrixCache,
-}
-
-/// Lazily computed aggregates over the rows. `AtomicUsize`/`OnceLock`
-/// rather than `Cell`/`RefCell` so `&SparseMatrix` stays `Sync`.
-#[derive(Debug)]
-struct MatrixCache {
-    /// Total stored entries; `usize::MAX` means "not computed".
-    nnz: AtomicUsize,
-    /// Per-row entry sums, in ascending-column accumulation order.
-    row_sums: OnceLock<BTreeMap<UserId, f64>>,
-}
-
-impl Default for MatrixCache {
-    fn default() -> Self {
-        Self {
-            nnz: AtomicUsize::new(usize::MAX),
-            row_sums: OnceLock::new(),
-        }
-    }
-}
-
-impl Clone for MatrixCache {
-    fn clone(&self) -> Self {
-        Self {
-            nnz: AtomicUsize::new(self.nnz.load(Ordering::Relaxed)),
-            row_sums: self.row_sums.clone(),
-        }
-    }
-}
-
-impl Clone for SparseMatrix {
-    fn clone(&self) -> Self {
-        Self {
-            rows: self.rows.clone(),
-            cache: self.cache.clone(),
-        }
-    }
-}
-
-impl PartialEq for SparseMatrix {
-    /// Equality is over the stored entries only — cache state is invisible.
-    fn eq(&self, other: &Self) -> bool {
-        self.rows == other.rows
-    }
 }
 
 impl SparseMatrix {
@@ -185,13 +123,7 @@ impl SparseMatrix {
         } else {
             self.rows.entry(row).or_default().insert(col, value);
         }
-        self.invalidate_cache();
         Ok(())
-    }
-
-    /// Drops the lazy aggregates; called by every successful mutation.
-    fn invalidate_cache(&mut self) {
-        self.cache = MatrixCache::default();
     }
 
     /// Adds `delta` to entry `(row, col)` (missing entries count as zero).
@@ -212,9 +144,6 @@ impl SparseMatrix {
             let removed = cols.remove(&col).is_some();
             if cols.is_empty() {
                 self.rows.remove(&row);
-            }
-            if removed {
-                self.invalidate_cache();
             }
             removed
         } else {
@@ -250,18 +179,10 @@ impl SparseMatrix {
         self.rows.keys().copied()
     }
 
-    /// Number of stored (non-zero) entries. Cached after the first call;
-    /// any mutation invalidates the cache.
+    /// Number of stored (non-zero) entries.
     #[must_use]
     pub fn nnz(&self) -> usize {
-        let cached = self.cache.nnz.load(Ordering::Relaxed);
-        if cached != usize::MAX {
-            return cached;
-        }
-        let computed = self.rows.values().map(BTreeMap::len).sum();
-        debug_assert_ne!(computed, usize::MAX);
-        self.cache.nnz.store(computed, Ordering::Relaxed);
-        computed
+        self.rows.values().map(BTreeMap::len).sum()
     }
 
     /// Number of non-empty rows.
@@ -276,23 +197,11 @@ impl SparseMatrix {
         self.rows.is_empty()
     }
 
-    /// Sum of the entries of `row` (0.0 for a missing row). All row sums
-    /// are computed and cached on the first call (accumulated in ascending
-    /// column order, exactly like the uncached walk); any mutation
-    /// invalidates the cache.
+    /// Sum of the entries of `row` (0.0 for a missing row), accumulated in
+    /// ascending column order.
     #[must_use]
     pub fn row_sum(&self, row: UserId) -> f64 {
-        self.cache
-            .row_sums
-            .get_or_init(|| {
-                self.rows
-                    .iter()
-                    .map(|(&r, cols)| (r, cols.values().sum()))
-                    .collect()
-            })
-            .get(&row)
-            .copied()
-            .unwrap_or(0.0)
+        self.rows.get(&row).map_or(0.0, |cols| cols.values().sum())
     }
 
     /// Equation 3/5/6: returns a copy of the matrix with every non-empty row
@@ -315,6 +224,21 @@ impl SparseMatrix {
         self.rows
             .values()
             .all(|r| (r.values().sum::<f64>() - 1.0).abs() <= tol)
+    }
+
+    /// Fraction of `(from, to)` request pairs covered by a non-zero entry —
+    /// the paper's *request coverage* metric (Figure 1), evaluated against a
+    /// replayed request log. Returns 0.0 for an empty request list.
+    #[must_use]
+    pub fn request_coverage(&self, requests: &[(UserId, UserId)]) -> f64 {
+        if requests.is_empty() {
+            return 0.0;
+        }
+        let covered = requests
+            .iter()
+            .filter(|(a, b)| self.get(*a, *b) > 0.0)
+            .count();
+        covered as f64 / requests.len() as f64
     }
 
     /// Multiplies a sparse row vector from the left: `out = v · M`.
@@ -349,9 +273,6 @@ impl SparseMatrix {
             dropped += before - cols.len();
             !cols.is_empty()
         });
-        if dropped > 0 {
-            self.invalidate_cache();
-        }
         dropped
     }
 
@@ -362,7 +283,6 @@ impl SparseMatrix {
     pub(crate) fn insert_row(&mut self, row: UserId, values: SparseVector) {
         if !values.is_empty() {
             self.rows.insert(row, values);
-            self.invalidate_cache();
         }
     }
 
@@ -388,17 +308,12 @@ impl SparseMatrix {
         } else {
             self.rows.insert(row, filtered);
         }
-        self.invalidate_cache();
         Ok(())
     }
 
     /// Removes `row` entirely; returns whether it existed.
     pub fn remove_row(&mut self, row: UserId) -> bool {
-        let removed = self.rows.remove(&row).is_some();
-        if removed {
-            self.invalidate_cache();
-        }
-        removed
+        self.rows.remove(&row).is_some()
     }
 
     /// Merges another matrix into this one entry-wise with a scale factor:
@@ -694,12 +609,11 @@ mod tests {
     }
 
     #[test]
-    fn cached_aggregates_track_every_mutation() {
+    fn aggregates_track_every_mutation() {
         let mut m = SparseMatrix::new();
         m.set(u(0), u(1), 0.5).unwrap();
         m.set(u(0), u(2), 1.5).unwrap();
         m.set(u(1), u(0), 1.0).unwrap();
-        // Prime both caches, then check each mutator invalidates them.
         assert_eq!(m.nnz(), 3);
         assert_eq!(m.row_sum(u(0)), 2.0);
 
@@ -726,10 +640,9 @@ mod tests {
         assert_eq!(m.nnz(), 0);
         assert_eq!(m.row_sum(u(0)), 0.0);
 
-        // Failed mutations leave the primed cache valid and correct.
+        // Failed mutations leave the matrix unchanged.
         let mut m = SparseMatrix::new();
         m.set(u(0), u(1), 1.0).unwrap();
-        assert_eq!(m.nnz(), 1);
         assert!(m.set(u(0), u(2), -1.0).is_err());
         assert!(m.add(u(0), u(1), f64::NAN).is_err());
         assert_eq!(m.nnz(), 1);
@@ -737,14 +650,12 @@ mod tests {
     }
 
     #[test]
-    fn cache_survives_clone_and_ignores_equality() {
-        let mut a = SparseMatrix::new();
-        a.set(u(0), u(1), 1.0).unwrap();
-        assert_eq!(a.nnz(), 1);
-        let b = a.clone();
-        assert_eq!(b.nnz(), 1, "clone carries the primed cache");
-        let mut c = SparseMatrix::new();
-        c.set(u(0), u(1), 1.0).unwrap();
-        assert_eq!(a, c, "cache state is invisible to equality");
+    fn request_coverage_counts_covered_pairs() {
+        let mut m = SparseMatrix::new();
+        m.set(u(0), u(1), 0.4).unwrap();
+        let requests = vec![(u(0), u(1)), (u(1), u(0)), (u(0), u(2)), (u(0), u(1))];
+        // 2 of 4 requests hit the (0,1) edge.
+        assert!((m.request_coverage(&requests) - 0.5).abs() < 1e-12);
+        assert_eq!(m.request_coverage(&[]), 0.0);
     }
 }

@@ -47,8 +47,8 @@ pub struct ReplayConfig {
     /// Recompute worker threads (`Params::threads`; 0 = auto-detect).
     pub threads: usize,
     /// Cap on evaluators paired per file in Eq. 2 (popular files can have
-    /// thousands of evaluators and pairing is quadratic — at paper scale
-    /// an unbounded cap is infeasible). `None` = unbounded.
+    /// thousands of evaluators and pairing is quadratic — at Maze scale
+    /// and beyond an unbounded cap is infeasible). `None` = unbounded.
     pub max_evaluators_per_file: Option<usize>,
 }
 
@@ -92,13 +92,14 @@ impl ReplayConfig {
         }
     }
 
-    /// The full paper-scale config: one million users and the Maze trace's
-    /// 24.6M download records, replayed on one machine. The evaluator cap
-    /// is mandatory here — Eq. 2 pairs evaluators quadratically per file,
-    /// and the popularity head of a 24.6M-event stream would otherwise
-    /// accumulate millions of pairs on the hottest files.
+    /// One million users and the Maze trace's 24.6M download records,
+    /// replayed on one machine — an extrapolation past the paper's
+    /// 1.7×10⁵-user trace. The evaluator cap is mandatory here — Eq. 2
+    /// pairs evaluators quadratically per file, and the popularity head of
+    /// a 24.6M-event stream would otherwise accumulate millions of pairs
+    /// on the hottest files.
     #[must_use]
-    pub fn paper_scale() -> Self {
+    pub fn million_users() -> Self {
         Self {
             users: 1_000_000,
             files: 200_000,

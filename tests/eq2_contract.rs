@@ -12,7 +12,7 @@
 use mdrep_repro::core::{
     DistanceMetric, EvaluationStore, FileTrust, FileTrustOptions, FileTrustState, Params,
 };
-use mdrep_repro::matrix::SparseMatrix;
+use mdrep_repro::matrix::CsrMatrix;
 use mdrep_repro::types::{Evaluation, FileId, SimDuration, SimTime, UserId};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -86,7 +86,7 @@ fn oracle(
     ft
 }
 
-fn bits(ft: &SparseMatrix) -> BTreeMap<(UserId, UserId), u64> {
+fn bits(ft: &CsrMatrix) -> BTreeMap<(UserId, UserId), u64> {
     ft.iter().map(|(r, c, v)| ((r, c), v.to_bits())).collect()
 }
 
