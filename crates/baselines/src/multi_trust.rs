@@ -9,7 +9,7 @@
 
 use crate::system::ReputationSystem;
 use mdrep::{OwnerEvaluation, Params, ReputationMatrix, TrustTier};
-use mdrep_matrix::{normalized_entries, CsrMatrix, RowRun, UserIndex};
+use mdrep_matrix::{normalized_entries, CsrMatrix, PositionRun, UserIndex};
 use mdrep_types::{FileId, FileSize, SimTime, UserId};
 use mdrep_workload::{Catalog, EventKind, TraceEvent};
 use std::collections::HashMap;
@@ -71,14 +71,20 @@ impl MultiTrustHybrid {
             .map(|(&(d, u), &v)| (d, u, v))
             .collect();
         entries.sort_unstable_by_key(|&(d, u, _)| (d, u));
-        let mut run = RowRun::with_capacity(entries.len());
+        let index = Arc::new(UserIndex::from_ids(
+            entries.iter().flat_map(|&(d, u, _)| [d, u]),
+        ));
+        let position = |id| index.position(id).expect("interned above");
+        let mut run = PositionRun::with_capacity(entries.len());
         for row in entries.chunk_by(|a, b| a.0 == b.0) {
-            run.push_row(
-                row[0].0,
-                normalized_entries(row.iter().map(|&(_, u, v)| (u, v))),
-            );
+            let normalized: Vec<(u32, f64)> =
+                normalized_entries(row.iter().map(|&(_, u, v)| (u, v)))
+                    .into_iter()
+                    .map(|(u, v)| (position(u), v))
+                    .collect();
+            run.push_row(position(row[0].0), &normalized);
         }
-        CsrMatrix::from_row_runs(&Arc::new(UserIndex::from_ids(run.ids())), vec![run])
+        CsrMatrix::from_position_runs(&index, vec![run])
     }
 
     /// The first tier at which `i` reaches `j`, if any.

@@ -13,11 +13,16 @@
 //!
 //! The first mode fails (exit 1) when any benchmark regressed by more than
 //! the tolerance. Because CI runners and the machine that produced the
-//! baseline differ in raw speed, the default comparison is **median
-//! normalized**: every `current/baseline` ratio is divided by the median
-//! ratio across all shared keys, so a uniformly slower machine cancels out
-//! and only *relative* regressions trip the gate. `--absolute` skips the
-//! normalization (for same-machine comparisons).
+//! baseline differ in raw speed, the default comparison is **normalized**:
+//! every `current/baseline` ratio is divided by a machine-speed scale, so
+//! a uniformly slower machine cancels out and only *relative* regressions
+//! trip the gate. The scale is the ratio of the calibration bench
+//! (`calibration/fixed_work`, a fixed workload the criterion shim adds to
+//! every digest) when both digests carry it. A change that speeds up one
+//! key then leaves the others at 1.0. Without the key, the scale is the
+//! median ratio across all shared keys, which a large speedup drags down
+//! (in a two-key digest, halving one key reads the other as 1.33×).
+//! `--absolute` skips the normalization (for same-machine comparisons).
 //!
 //! The ratio mode asserts a ratio between two keys of one digest — e.g.
 //! that a full rebuild costs at least 5× an incremental recompute
@@ -35,6 +40,10 @@
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
+
+/// The calibration bench's digest key (the criterion shim's
+/// `CALIBRATION_KEY`): the machine-speed scale, never gated itself.
+const CALIBRATION_KEY: &str = "calibration/fixed_work";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -306,17 +315,26 @@ fn check_regressions(
     tolerance: f64,
     absolute: bool,
 ) -> Result<String, String> {
+    let ratio = |key: &String, base: f64| {
+        let cur = *current.get(key)?;
+        (base > 0.0).then_some(cur / base)
+    };
+    let calibration = baseline
+        .get_key_value(CALIBRATION_KEY)
+        .and_then(|(key, &base)| ratio(key, base));
     let mut ratios: Vec<(String, f64)> = baseline
         .iter()
-        .filter_map(|(key, &base)| {
-            let cur = *current.get(key)?;
-            (base > 0.0).then(|| (key.clone(), cur / base))
-        })
+        .filter(|(key, _)| key.as_str() != CALIBRATION_KEY)
+        .filter_map(|(key, &base)| Some((key.clone(), ratio(key, base)?)))
         .collect();
     if ratios.is_empty() {
         return Err("baseline and current share no benchmark keys".into());
     }
-    let scale = if absolute { 1.0 } else { median(&ratios) };
+    let (scale, source) = match (absolute, calibration) {
+        (true, _) => (1.0, "absolute"),
+        (false, Some(scale)) => (scale, "calibration bench"),
+        (false, None) => (median(&ratios), "median ratio"),
+    };
     let mut lines = Vec::new();
     let mut failures = Vec::new();
     for (key, ratio) in &mut ratios {
@@ -330,7 +348,7 @@ fn check_regressions(
         lines.push(format!("{key:<56} {normalized:>6.3}x  {verdict}"));
     }
     let header = format!(
-        "{} benchmarks, machine-speed scale {scale:.3}, tolerance {:.0}%",
+        "{} benchmarks, machine-speed scale {scale:.3} ({source}), tolerance {:.0}%",
         ratios.len(),
         tolerance * 100.0
     );
@@ -413,6 +431,50 @@ mod tests {
         let cur = digest(&[("a", 200.0), ("b", 400.0), ("c", 900.0)]);
         let err = check_regressions(&base, &cur, 0.10, false).unwrap_err();
         assert!(err.contains("regressions: c"), "{err}");
+    }
+
+    #[test]
+    fn calibration_scale_keeps_a_speedup_from_reading_as_a_regression() {
+        // The incremental file's shape: two keys, and the change halves one.
+        let base = digest(&[
+            (CALIBRATION_KEY, 50.0),
+            ("engine/full_rebuild", 1000.0),
+            ("engine/dirty_1pct", 100.0),
+        ]);
+        let cur = digest(&[
+            (CALIBRATION_KEY, 50.0),
+            ("engine/full_rebuild", 500.0),
+            ("engine/dirty_1pct", 100.0),
+        ]);
+        let report = check_regressions(&base, &cur, 0.10, false).unwrap();
+        assert!(report.contains("calibration bench"), "{report}");
+        assert!(report.contains("engine/dirty_1pct"), "{report}");
+        assert!(!report.contains(CALIBRATION_KEY), "not gated: {report}");
+        // Median normalization flags the untouched key by half the
+        // speedup.
+        let strip = |d: &BTreeMap<String, f64>| {
+            let mut d = d.clone();
+            d.remove(CALIBRATION_KEY);
+            d
+        };
+        let err = check_regressions(&strip(&base), &strip(&cur), 0.10, false).unwrap_err();
+        assert!(err.contains("regressions: engine/dirty_1pct"), "{err}");
+    }
+
+    #[test]
+    fn calibration_scale_cancels_machine_speed_and_keeps_regressions() {
+        let base = digest(&[(CALIBRATION_KEY, 50.0), ("a", 100.0), ("b", 200.0)]);
+        // A 2x slower machine: everything, the calibration bench included.
+        let cur = digest(&[(CALIBRATION_KEY, 100.0), ("a", 200.0), ("b", 400.0)]);
+        assert!(check_regressions(&base, &cur, 0.10, false).is_ok());
+        // ... and b regressed another 50% on it.
+        let cur = digest(&[(CALIBRATION_KEY, 100.0), ("a", 200.0), ("b", 600.0)]);
+        let err = check_regressions(&base, &cur, 0.10, false).unwrap_err();
+        assert!(err.contains("regressions: b"), "{err}");
+        // A digest without the key falls back to the median.
+        let old = digest(&[("a", 100.0), ("b", 200.0)]);
+        let report = check_regressions(&old, &cur, 0.10, false).unwrap_err();
+        assert!(report.contains("median ratio"), "{report}");
     }
 
     #[test]

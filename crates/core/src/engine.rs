@@ -19,7 +19,9 @@ use crate::reputation::ReputationMatrix;
 use crate::snapshot::EngineSnapshot;
 use crate::user_trust::UserTrust;
 use crate::volume_trust::VolumeTrust;
-use mdrep_matrix::{blend_entries, map_chunks, normalized_entries, CsrMatrix, RowRun, UserIndex};
+use mdrep_matrix::{
+    blend_entries, map_chunks, normalized_entries, CsrMatrix, PositionRun, UserIndex,
+};
 use mdrep_types::{Evaluation, FileId, FileSize, SimTime, UserId};
 use mdrep_workload::{Catalog, EventKind, TraceEvent};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -113,9 +115,8 @@ pub struct ReputationEngine {
     last_publish_bytes: usize,
 }
 
-/// What the per-row worker reads: the stores (immutable while the workers
-/// run) and, on an incremental rebuild, each store's dirty rows with the
-/// previous matrices that keep every clean row.
+/// What the per-row workers read: the stores, immutable while the workers
+/// run.
 #[derive(Clone, Copy)]
 struct RowSources<'a> {
     ft: &'a CsrMatrix,
@@ -124,9 +125,6 @@ struct RowSources<'a> {
     evals: &'a EvaluationStore,
     params: &'a Params,
     now: SimTime,
-    /// `FM`/`DM`/`UM` dirty rows (ascending) and the previous matrices;
-    /// `None` rebuilds every component row.
-    dirty: Option<(&'a [Vec<UserId>; 3], &'a TrustComponents)>,
 }
 
 /// One sparse row as `(column, value)` pairs in ascending column order.
@@ -141,35 +139,101 @@ struct RowParts {
     tm: Row,
 }
 
+/// The coordinate space of a rebuild of every row, interned once before
+/// its workers run, so they emit rows in index positions.
+struct Columns {
+    index: Arc<UserIndex>,
+    /// `FT`'s index position → position in `index`.
+    ft: Vec<u32>,
+}
+
+impl Columns {
+    fn position(&self, id: UserId) -> u32 {
+        self.index
+            .position(id)
+            .expect("every row and column is interned before integrate")
+    }
+
+    /// `row` with its columns resolved by search. The collect reuses the
+    /// row's buffer: a position pair is the size of an id pair.
+    fn resolve(&self, row: Row) -> Vec<(u32, f64)> {
+        row.into_iter()
+            .map(|(c, v)| (self.position(c), v))
+            .collect()
+    }
+}
+
 impl RowSources<'_> {
-    /// Rebuilds row `u`: Equations 3, 5 and 6 for each component row to
-    /// rebuild, then the Equation 7 blend over the fresh rows where rebuilt
-    /// and the previous rows where not.
-    fn build_row(&self, u: UserId) -> RowParts {
+    /// Equation 5's `DM` row of `u`.
+    fn dm_row(&self, u: UserId) -> Row {
+        normalized_entries(self.volume.vd_row(u, self.evals, self.now, self.params))
+    }
+
+    /// Equation 6's `UM` row of `u`.
+    fn um_row(&self, u: UserId) -> Row {
+        normalized_entries(self.user_trust.ut_row(u))
+    }
+
+    /// Equation 7 over one row's `FM`/`DM`/`UM` rows, in either column
+    /// space.
+    fn blend<K: Copy + Ord>(&self, rows: [&[(K, f64)]; 3]) -> Vec<(K, f64)> {
+        let w = self.params.weights();
+        blend_entries([
+            (w.alpha(), rows[0]),
+            (w.beta(), rows[1]),
+            (w.gamma(), rows[2]),
+        ])
+    }
+
+    /// Rebuilds dirty row `u`: Equations 3, 5 and 6 for each component
+    /// row a store's dirty set (ascending) names, the `previous` matrix's
+    /// row for the others, then the Equation 7 blend.
+    fn build_row(
+        &self,
+        u: UserId,
+        dirty: &[Vec<UserId>; 3],
+        previous: &TrustComponents,
+    ) -> RowParts {
         let fresh: [&dyn Fn() -> Row; 3] = [
             &|| normalized_entries(self.ft.row_entries(u)),
-            &|| normalized_entries(self.volume.vd_row(u, self.evals, self.now, self.params)),
-            &|| normalized_entries(self.user_trust.ut_row(u)),
+            &|| self.dm_row(u),
+            &|| self.um_row(u),
         ];
         // `(rebuilt, row)` per store: the fresh row, or the previous
-        // matrix's row when an incremental rebuild finds it clean.
-        let rows: [(bool, Row); 3] = std::array::from_fn(|store| match self.dirty {
-            Some((sets, comps)) if sets[store].binary_search(&u).is_err() => {
-                let previous = [&comps.fm, &comps.dm, &comps.um][store];
+        // matrix's row when the store finds it clean.
+        let rows: [(bool, Row); 3] = std::array::from_fn(|store| {
+            if dirty[store].binary_search(&u).is_ok() {
+                (true, fresh[store]())
+            } else {
+                let previous = [&previous.fm, &previous.dm, &previous.um][store];
                 (false, previous.row_entries(u).collect())
             }
-            _ => (true, fresh[store]()),
         });
-        let w = self.params.weights();
-        let tm = blend_entries([
-            (w.alpha(), &rows[0].1[..]),
-            (w.beta(), &rows[1].1[..]),
-            (w.gamma(), &rows[2].1[..]),
-        ]);
+        let tm = self.blend([&rows[0].1[..], &rows[1].1[..], &rows[2].1[..]]);
         RowParts {
             parts: rows.map(|(rebuilt, row)| rebuilt.then_some(row)),
             tm,
         }
+    }
+
+    /// Rebuilds row `u` of a rebuild of every row, in positions of
+    /// `columns.index`: the `FM`, `DM`, `UM` and `TM` rows. `FT`'s columns
+    /// map through the position table; `DM`'s and `UM`'s resolve by
+    /// search. Positions follow id order, so the rows carry the bits the
+    /// id-space kernels give.
+    fn position_rows(&self, u: UserId, columns: &Columns) -> [Vec<(u32, f64)>; 4] {
+        let fm = self.ft.index().position(u).map_or_else(Vec::new, |at| {
+            let (cols, vals) = self.ft.position_row(at);
+            normalized_entries(
+                cols.iter()
+                    .map(|&c| columns.ft[c as usize])
+                    .zip(vals.iter().copied()),
+            )
+        });
+        let dm = columns.resolve(self.dm_row(u));
+        let um = columns.resolve(self.um_row(u));
+        let tm = self.blend([&fm[..], &dm[..], &um[..]]);
+        [fm, dm, um, tm]
     }
 }
 
@@ -488,19 +552,21 @@ impl ReputationEngine {
     /// otherwise; both run the same three phases:
     ///
     /// 1. **Equation 2** (`fm_build`) — parallel by row, into the raw CSR
-    ///    `FT` (`FileTrustState`): over everyone, stitched into fresh
+    ///    `FT` (`FileTrustState`): over everyone, concatenated into fresh
     ///    arrays, or over the dirty users, one overlay patch per row.
     /// 2. **Rows** (`integrate`) — shard-parallel and pure: the row set is
     ///    split into contiguous ranges ([`map_chunks`]) and one worker
     ///    per range builds each row's `FM`/`DM`/`UM` rows and its blended
-    ///    `TM` row ([`RowSources::build_row`]). Rows are pure functions of
-    ///    the stores, which stay immutable during the pass, and the
-    ///    partition depends only on the row set and
+    ///    `TM` row — by id for dirty rows ([`RowSources::build_row`]); for
+    ///    every row, in positions of one index interned from the stores
+    ///    before the workers start ([`RowSources::position_rows`]). Rows
+    ///    are pure functions of the stores, which stay immutable during
+    ///    the pass, and the partition depends only on the row set and
     ///    [`Params::threads`](crate::Params::threads) — so the result is
     ///    bit-identical at any shard/thread count.
     /// 3. **Sink** (`merge`) — dirty rows are patched into the previous
-    ///    matrices' copy-on-write overlays; all rows are written straight
-    ///    into fresh contiguous CSR arrays, shard range by shard range.
+    ///    matrices' copy-on-write overlays; a rebuild of every row
+    ///    concatenates the workers' runs into fresh contiguous CSR arrays.
     fn rebuild(&mut self, now: SimTime, mode: RecomputeMode) {
         let threads = self.params.effective_threads();
         let incremental = mode == RecomputeMode::Incremental;
@@ -556,27 +622,22 @@ impl ReputationEngine {
         rows.sort_unstable();
         rows.dedup();
 
-        let every_row = RowSources {
+        let sources = RowSources {
             ft: self.file_trust.raw(),
             volume: &self.volume,
             user_trust: &self.user_trust,
             evals: &self.evals,
             params: &self.params,
             now,
-            dirty: None,
         };
         let (components, rm) = match dirty {
             Some((sets, mut comps, mut rm)) => {
                 let patches: Vec<RowPatch> = {
                     let _phase = mdrep_obs::phase("engine.recompute.integrate");
-                    let sources = RowSources {
-                        dirty: Some((&sets, &comps)),
-                        ..every_row
-                    };
                     map_chunks(&rows, threads, |shard| {
                         shard
                             .iter()
-                            .map(|&u| sources.build_row(u).into_patch(u))
+                            .map(|&u| sources.build_row(u, &sets, &comps).into_patch(u))
                             .collect::<Vec<_>>()
                     })
                     .into_iter()
@@ -623,52 +684,76 @@ impl ReputationEngine {
                 (comps, rm)
             }
             None => {
-                let shards: Vec<[RowRun; 4]> = {
+                let ft = sources.ft;
+                let (columns, shards) = {
                     let _phase = mdrep_obs::phase("engine.recompute.integrate");
-                    map_chunks(&rows, threads, |shard| {
+                    // Intern once, before the workers run: every row and
+                    // every column a row can have — FT's index (a full
+                    // rebuild leaves FT compact), the uploaders in the
+                    // download log, the rated targets. The index may hold
+                    // ids no entry references; equality, `row_ids` and
+                    // the snapshot digest read entries, not the index.
+                    let index = Arc::new(UserIndex::from_ids(
+                        rows.iter()
+                            .chain(ft.index().ids())
+                            .copied()
+                            .chain(self.volume.uploaders())
+                            .chain(self.user_trust.targets()),
+                    ));
+                    let ft_columns = ft
+                        .index()
+                        .ids()
+                        .iter()
+                        .map(|&id| index.position(id).expect("FT ids are interned"))
+                        .collect();
+                    let columns = Columns {
+                        index,
+                        ft: ft_columns,
+                    };
+                    let shards: Vec<[PositionRun; 4]> = map_chunks(&rows, threads, |shard| {
                         // Sized up front to the stores' row lengths, an
                         // upper bound on every run: runs grown by doubling
                         // on the workers fragment their allocator arenas and
                         // hold the process's peak RSS well above the data.
                         let mut bounds = [0usize; 3];
                         for &u in shard {
-                            bounds[0] += every_row.ft.row_entries(u).count();
-                            bounds[1] += every_row.volume.uploader_count(u);
-                            bounds[2] += every_row.user_trust.rating_count(u);
+                            bounds[0] += ft
+                                .index()
+                                .position(u)
+                                .map_or(0, |at| ft.position_row(at).0.len());
+                            bounds[1] += sources.volume.uploader_count(u);
+                            bounds[2] += sources.user_trust.rating_count(u);
                         }
                         let [fm, dm, um] = bounds;
-                        let mut runs = [fm, dm, um, fm + dm + um].map(RowRun::with_capacity);
+                        let mut runs = [fm, dm, um, fm + dm + um].map(PositionRun::with_capacity);
                         for &u in shard {
-                            let row = every_row.build_row(u);
-                            for (run, part) in runs.iter_mut().zip(row.parts) {
-                                run.push_row(u, part.expect("every row is rebuilt"));
+                            let at = columns.position(u);
+                            for (run, row) in
+                                runs.iter_mut().zip(sources.position_rows(u, &columns))
+                            {
+                                run.push_row(at, &row);
                             }
-                            runs[3].push_row(u, row.tm);
                         }
                         runs
-                    })
+                    });
+                    (columns, shards)
                 };
                 let _phase = mdrep_obs::phase("engine.recompute.merge");
-                // One shared interner over every id FM, DM and UM
-                // reference, so the blend and power kernels see one dense
-                // column space (TM's ids are a subset).
-                let index = Arc::new(UserIndex::from_ids(
-                    shards
-                        .iter()
-                        .flat_map(|shard| shard[..3].iter().flat_map(RowRun::ids)),
-                ));
-                let mut per_matrix: [Vec<RowRun>; 4] = Default::default();
+                let mut per_matrix: [Vec<PositionRun>; 4] = Default::default();
                 for shard in shards {
                     for (runs, run) in per_matrix.iter_mut().zip(shard) {
                         runs.push(run);
                     }
                 }
+                // One matrix at a time: the arrays are allocated on this
+                // thread, and only one matrix's runs and arrays are held
+                // at once.
                 let [fm, dm, um, tm] =
-                    per_matrix.map(|runs| CsrMatrix::from_row_runs(&index, runs));
+                    per_matrix.map(|runs| CsrMatrix::from_position_runs(&columns.index, runs));
                 let rm = ReputationMatrix::compute_csr(tm.clone(), &self.params);
                 // Every matrix was materialized from scratch: the next
                 // snapshot shares nothing with the previous one.
-                self.last_publish_rows = index.len();
+                self.last_publish_rows = rows.len();
                 self.last_publish_bytes = fm.storage_bytes()
                     + dm.storage_bytes()
                     + um.storage_bytes()
@@ -706,10 +791,10 @@ impl ReputationEngine {
         self.last_dirty_rows
     }
 
-    /// Rows the last recompute materialized fresh — the only slabs the
-    /// next copy-on-write snapshot cannot share with its predecessor. A
-    /// rebuild of every row reports every interned row; a dirty-row rebuild
-    /// reports the dirty union.
+    /// Rows the last recompute rebuilt — the only rows the next
+    /// copy-on-write snapshot cannot share with its predecessor: every
+    /// known row after a rebuild of every row (ids interned only as
+    /// columns are not rows), the dirty union after a dirty-row rebuild.
     #[must_use]
     pub fn last_publish_rows(&self) -> usize {
         self.last_publish_rows

@@ -12,7 +12,7 @@
 
 use crate::eval::EvaluationStore;
 use crate::params::Params;
-use mdrep_matrix::{map_chunks, normalized_entries, CsrMatrix, RowRun, UserIndex};
+use mdrep_matrix::{map_chunks, normalized_entries, CsrMatrix, PositionRun, UserIndex};
 use mdrep_types::{Evaluation, FileId, SimTime, UserId};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -130,11 +130,14 @@ impl FileTrust {
     /// normalized by [`normalized_entries`] as the engine does.
     #[must_use]
     pub fn matrix(&self) -> CsrMatrix {
-        let mut run = RowRun::with_capacity(self.ft.nnz());
-        for r in self.ft.row_ids() {
-            run.push_row(r, normalized_entries(self.ft.row_entries(r)));
+        let index = self.ft.index();
+        let mut run = PositionRun::with_capacity(self.ft.nnz());
+        for pos in 0..index.len() as u32 {
+            let (cols, vals) = self.ft.position_row(pos);
+            let row = normalized_entries(cols.iter().copied().zip(vals.iter().copied()));
+            run.push_row(pos, &row);
         }
-        CsrMatrix::from_row_runs(&Arc::new(UserIndex::from_ids(run.ids())), vec![run])
+        CsrMatrix::from_position_runs(index, vec![run])
     }
 }
 
@@ -152,9 +155,9 @@ impl FileTrust {
 /// the same pass as [`full_rebuild`](Self::full_rebuild), which makes the
 /// incremental result bit-identical to [`FileTrust::compute_with`].
 ///
-/// `FT` is a [`CsrMatrix`]: a full rebuild stitches fresh arrays from the
-/// workers' row runs, and a dirty-row rebuild patches each dirty row once
-/// through the overlay.
+/// `FT` is a [`CsrMatrix`]: a full rebuild concatenates the workers' row
+/// runs into fresh arrays, and a dirty-row rebuild patches each dirty row
+/// once through the overlay.
 #[derive(Debug, Clone, Default)]
 pub struct FileTrustState {
     ft: CsrMatrix,
@@ -348,7 +351,9 @@ impl MemberTable {
 
     /// Hands `sink` the `FT` row of each user at `rows` (indices into
     /// [`users`](Self::users)) that has an entry, in order, as its nonzero
-    /// entries in ascending column order. One dense `(sum, count)`
+    /// entries in ascending column order — columns, like rows, are indices
+    /// into `users`, which is sorted, so they are also the positions of
+    /// the `FT` index built from it. One dense `(sum, count)`
     /// accumulator serves every row: row `a` walks its files in ascending
     /// order and adds its distance to every co-member, so each pair sums
     /// its common files in ascending file order — the order the symmetric
@@ -357,11 +362,11 @@ impl MemberTable {
         &self,
         rows: &[usize],
         metric: DistanceMetric,
-        mut sink: impl FnMut(UserId, &[(UserId, f64)]),
+        mut sink: impl FnMut(usize, &[(u32, f64)]),
     ) {
         let mut acc = vec![(0.0, 0usize); self.users.len()];
         let mut touched: Vec<usize> = Vec::new();
-        let mut row: Vec<(UserId, f64)> = Vec::new();
+        let mut row: Vec<(u32, f64)> = Vec::new();
         for &a in rows {
             for &(slot, ea) in &self.user_files[self.user_start[a]..self.user_start[a + 1]] {
                 for &(b, eb) in &self.members[self.file_start[slot]..self.file_start[slot + 1]] {
@@ -381,10 +386,10 @@ impl MemberTable {
                 let (sum, m) = std::mem::take(&mut acc[b]);
                 let trust = metric.to_trust(sum, m);
                 // Zero-trust pairs stay absent (sparse Equation 2).
-                (trust > 0.0).then_some((self.users[b], trust))
+                (trust > 0.0).then_some((b as u32, trust))
             }));
             if !row.is_empty() {
-                sink(self.users[a], &row);
+                sink(a, &row);
             }
         }
     }
@@ -415,8 +420,9 @@ fn workers(threads: usize, pair_updates: u64) -> usize {
 /// `FT_ba` are the same bits, whichever rows (a full or a dirty-row
 /// rebuild) and whatever thread count computed them.
 ///
-/// A full pass replaces `ft` with the workers' row runs, stitched under
-/// the member users' index. A dirty pass patches every eligible user's
+/// A full pass replaces `ft` with the workers' row runs, concatenated
+/// under the member users' index, in whose positions the kernel already
+/// emits them. A dirty pass patches every eligible user's
 /// row once: its old entries whose column is clean (unchanged, by the
 /// dirtying contract), merged in column order with the fresh dirty-column
 /// entries; an empty result masks the row.
@@ -438,19 +444,25 @@ fn accumulate_pairs(
     let threads = workers(params.effective_threads(), table.work.pair_updates);
     let Some(dirty) = eligible else {
         let runs = map_chunks(&rows, threads, |chunk| {
-            let mut run = RowRun::default();
+            let mut run = PositionRun::default();
             table.trust_rows(chunk, options.metric, |a, row| {
-                run.push_row(a, row.iter().copied());
+                run.push_row(a as u32, row);
             });
             run
         });
-        let index = Arc::new(UserIndex::from_ids(table.users.iter().copied()));
-        *ft = CsrMatrix::from_row_runs(&index, runs);
+        let index = Arc::new(UserIndex::from_ids(table.users));
+        *ft = CsrMatrix::from_position_runs(&index, runs);
         return table.work;
     };
     let mut fresh = map_chunks(&rows, threads, |chunk| {
         let mut out = Vec::new();
-        table.trust_rows(chunk, options.metric, |a, row| out.push((a, row.to_vec())));
+        table.trust_rows(chunk, options.metric, |a, row| {
+            let row: Vec<(UserId, f64)> = row
+                .iter()
+                .map(|&(b, v)| (table.users[b as usize], v))
+                .collect();
+            out.push((table.users[a], row));
+        });
         out
     })
     .into_iter()

@@ -55,6 +55,7 @@
 #![warn(missing_docs)]
 
 pub mod audit;
+mod columns;
 pub mod contribution;
 pub mod engine;
 pub mod eval;

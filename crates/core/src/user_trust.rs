@@ -5,6 +5,7 @@
 //! ordered pair is kept as `UT_ij`, and row-normalization yields the
 //! one-step matrix `UM` (Equation 6).
 
+use crate::columns::ColumnCounts;
 use mdrep_types::{Evaluation, UserId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -31,6 +32,8 @@ pub struct UserTrust {
     ratings: BTreeMap<UserId, BTreeMap<UserId, Evaluation>>,
     /// Raters whose `UM` row must be rebuilt.
     dirty: BTreeSet<UserId>,
+    /// Per target, how many raters rated it.
+    targets: ColumnCounts,
 }
 
 impl UserTrust {
@@ -44,7 +47,10 @@ impl UserTrust {
     /// Self-ratings are ignored (they would let users seed their own rows).
     pub fn rate(&mut self, rater: UserId, target: UserId, value: Evaluation) {
         if rater != target {
-            self.ratings.entry(rater).or_default().insert(target, value);
+            let given = self.ratings.entry(rater).or_default();
+            if given.insert(target, value).is_none() {
+                self.targets.add(target);
+            }
             self.dirty.insert(rater);
         }
     }
@@ -72,12 +78,15 @@ impl UserTrust {
     /// the ones it received (whitewash handling). Dirties `user` plus every
     /// rater that had rated it.
     pub fn remove_user(&mut self, user: UserId) {
-        self.ratings.remove(&user);
+        for &target in self.ratings.remove(&user).iter().flat_map(BTreeMap::keys) {
+            self.targets.remove(target);
+        }
         for (&rater, targets) in &mut self.ratings {
             if targets.remove(&user).is_some() {
                 self.dirty.insert(rater);
             }
         }
+        self.targets.forget(user);
         self.ratings.retain(|_, targets| !targets.is_empty());
         self.dirty.insert(user);
     }
@@ -102,6 +111,11 @@ impl UserTrust {
     /// `UT` can have.
     pub fn rows(&self) -> impl Iterator<Item = UserId> + '_ {
         self.ratings.keys().copied()
+    }
+
+    /// Every rated target, ascending — every column `UT` can have.
+    pub fn targets(&self) -> impl Iterator<Item = UserId> + '_ {
+        self.targets.ids()
     }
 
     /// Ratings `rater` has stored — an upper bound on the length of its
@@ -256,6 +270,33 @@ mod tests {
         assert_eq!(ut.rating_count(u(1)), 0);
         assert_eq!(row, vec![(u(1), 0.6), (u(2), 0.2)], "ascending targets");
         assert_eq!(ut.rows().collect::<Vec<_>>(), vec![u(0)]);
+    }
+
+    #[test]
+    fn targets_track_the_ratings_through_removals() {
+        let mut ut = UserTrust::new();
+        let mut state = 11u64;
+        for step in 0..400u64 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            let (a, b) = (u((state >> 33) % 12), u((state >> 45) % 12));
+            match step % 7 {
+                6 => ut.remove_user(a),
+                5 => ut.add_blacklist(a, b),
+                _ => ut.rate(a, b, Evaluation::new((step % 4) as f64 / 3.0).unwrap()),
+            }
+            let rated: BTreeSet<UserId> = ut
+                .ratings
+                .values()
+                .flat_map(|targets| targets.keys().copied())
+                .collect();
+            assert_eq!(
+                ut.targets().collect::<Vec<_>>(),
+                rated.into_iter().collect::<Vec<_>>(),
+                "step {step}"
+            );
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! fake download contributes nothing because `E_ik ≈ 0`). Row-normalizing
 //! gives the one-step matrix `DM` (Equation 5).
 
+use crate::columns::ColumnCounts;
 use crate::eval::EvaluationStore;
 use crate::params::Params;
 use mdrep_types::{FileId, FileSize, SimTime, UserId};
@@ -47,6 +48,8 @@ pub struct VolumeTrust {
     /// ever dirty single rows (plus, on user removal, every downloader that
     /// had the removed user as an uploader).
     dirty: BTreeSet<UserId>,
+    /// Per uploader, how many downloaders' logs name it.
+    uploaders: ColumnCounts,
 }
 
 impl VolumeTrust {
@@ -64,24 +67,31 @@ impl VolumeTrust {
         file: FileId,
         size: FileSize,
     ) {
-        self.downloads
+        let files = self
+            .downloads
             .entry(downloader)
             .or_default()
             .entry(uploader)
-            .or_default()
-            .push((file, size));
+            .or_default();
+        if files.is_empty() {
+            self.uploaders.add(uploader);
+        }
+        files.push((file, size));
         self.dirty.insert(downloader);
     }
 
     /// Forgets everything involving `user` (whitewash handling). Dirties
     /// `user` and every downloader that had `user` as an uploader.
     pub fn remove_user(&mut self, user: UserId) {
-        self.downloads.remove(&user);
+        for &uploader in self.downloads.remove(&user).iter().flat_map(BTreeMap::keys) {
+            self.uploaders.remove(uploader);
+        }
         for (&downloader, uploads) in &mut self.downloads {
             if uploads.remove(&user).is_some() {
                 self.dirty.insert(downloader);
             }
         }
+        self.uploaders.forget(user);
         self.downloads.retain(|_, uploads| !uploads.is_empty());
         self.dirty.insert(user);
     }
@@ -112,6 +122,12 @@ impl VolumeTrust {
     /// every row `VD` can have.
     pub fn rows(&self) -> impl Iterator<Item = UserId> + '_ {
         self.downloads.keys().copied()
+    }
+
+    /// Every uploader the log names, ascending — every column `VD` can
+    /// have.
+    pub fn uploaders(&self) -> impl Iterator<Item = UserId> + '_ {
+        self.uploaders.ids()
     }
 
     /// Distinct uploaders `downloader` fetched from — an upper bound on
@@ -333,6 +349,33 @@ mod tests {
             );
         }
         assert_eq!(vt.uploader_count(u(10)), 0, "uploaders have no row");
+    }
+
+    #[test]
+    fn uploaders_track_the_log_through_removals() {
+        let mut vt = VolumeTrust::new();
+        let mut state = 7u64;
+        for step in 0..400u64 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            let (a, b) = (u((state >> 33) % 12), u((state >> 45) % 12));
+            if step % 9 == 8 {
+                vt.remove_user(a);
+            } else {
+                vt.record_download(a, b, f(step % 5), FileSize::from_mib(1));
+            }
+            let named: BTreeSet<UserId> = vt
+                .downloads
+                .values()
+                .flat_map(|uploads| uploads.keys().copied())
+                .collect();
+            assert_eq!(
+                vt.uploaders().collect::<Vec<_>>(),
+                named.into_iter().collect::<Vec<_>>(),
+                "step {step}"
+            );
+        }
     }
 
     #[test]

@@ -18,6 +18,11 @@
 //! is strictly additive (preemption only ever slows an iteration down), so
 //! the minimum is the lowest-variance estimate of the code's true cost.
 //!
+//! Every digest also carries [`CALIBRATION_KEY`]: the fastest sample of a
+//! fixed workload that no change to the workspace touches. Comparing it
+//! between two digests measures the speed of the machines alone, which is
+//! what `compare_bench` normalizes by.
+//!
 //! Set `CRITERION_QUICK=1` (or pass `--quick`) to cap every benchmark at 5
 //! samples — the CI smoke-test mode, where relative ordering matters but
 //! tight confidence intervals do not.
@@ -29,6 +34,9 @@ use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
+
+/// The digest key of the calibration bench (see the crate docs).
+pub const CALIBRATION_KEY: &str = "calibration/fixed_work";
 
 /// One finished measurement.
 #[derive(Debug, Clone)]
@@ -89,15 +97,17 @@ impl Criterion {
         let Some(path) = json_out_path() else {
             return;
         };
+        let calibration = (CALIBRATION_KEY.to_string(), calibration_ns());
+        let entries: Vec<(String, f64)> = self
+            .results
+            .iter()
+            .map(|r| (r.id.replace('"', "'"), r.min_ns))
+            .chain([calibration])
+            .collect();
         let mut body = String::from("{\n");
-        for (i, r) in self.results.iter().enumerate() {
-            let comma = if i + 1 == self.results.len() { "" } else { "," };
-            body.push_str(&format!(
-                "  \"{}\": {:.1}{}\n",
-                r.id.replace('"', "'"),
-                r.min_ns,
-                comma
-            ));
+        for (i, (id, ns)) in entries.iter().enumerate() {
+            let comma = if i + 1 == entries.len() { "" } else { "," };
+            body.push_str(&format!("  \"{id}\": {ns:.1}{comma}\n"));
         }
         body.push_str("}\n");
         match std::fs::File::create(&path).and_then(|mut f| f.write_all(body.as_bytes())) {
@@ -121,6 +131,34 @@ impl Criterion {
         println!("{:<48} time: [{per_iter} ± {spread}]{rate}", result.id);
         self.results.push(result);
     }
+}
+
+/// The fastest sample of the calibration workload, in nanoseconds: a chain
+/// of dependent loads over a fixed 8 MiB table (memory latency, as the
+/// trust-matrix kernels see it) with an integer mix per step (arithmetic).
+fn calibration_ns() -> f64 {
+    const SLOTS: usize = 1 << 20;
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let table: Vec<u64> = (0..SLOTS)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 11
+        })
+        .collect();
+    let mut bencher = Bencher::with_sample_size(20);
+    bencher.iter(|| {
+        let mut at = 0usize;
+        let mut acc = 0u64;
+        for _ in 0..(1 << 16) {
+            let v = table[at];
+            acc = acc.rotate_left(7) ^ v.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+            at = (v as usize ^ acc as usize) & (SLOTS - 1);
+        }
+        acc
+    });
+    bencher.statistics().1
 }
 
 /// Where the JSON digest goes: the `CRITERION_JSON_OUT` env var wins, then
@@ -412,6 +450,11 @@ mod tests {
         assert_eq!(c.results().len(), 2);
         assert!(c.results().iter().all(|r| r.mean_ns > 0.0));
         assert_eq!(c.results()[0].id, "shim/64");
+    }
+
+    #[test]
+    fn calibration_measures_a_positive_time() {
+        assert!(calibration_ns() > 0.0);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! a matrix is held in three contiguous arrays (`indptr`/`cols`/`vals`) so
 //! that
 //!
-//! - rows built by parallel workers stitch straight into the arrays
-//!   ([`RowRun`], [`CsrMatrix::from_row_runs`]),
+//! - rows built by parallel workers, already in index positions, stitch
+//!   into the arrays by concatenation ([`PositionRun`],
+//!   [`CsrMatrix::from_position_runs`]),
 //! - the Equation 7 blend runs as a k-way scaled merge over row slices
 //!   ([`blend_frozen`]),
 //! - the Equation 8 power `RM = TM^n` runs as a row-chunked parallel SpGEMM
@@ -64,7 +65,8 @@ impl UserIndex {
     }
 
     /// Builds the union index over every row and column id of `matrices` —
-    /// the shared coordinate space the engine freezes `FM`/`DM`/`UM` into.
+    /// one coordinate space to freeze reference matrices into, so
+    /// [`blend_frozen`] can combine them.
     #[must_use]
     pub fn from_matrices(matrices: &[&SparseMatrix]) -> Self {
         let mut ids: Vec<UserId> = Vec::new();
@@ -142,58 +144,63 @@ impl ColumnSet {
     }
 }
 
-/// Rows appended in ascending id order with their column ids not yet
-/// interned: one worker's share of a matrix built before the shared
-/// [`UserIndex`] is known. [`CsrMatrix::from_row_runs`] resolves and
-/// stitches the runs.
+/// Rows appended in ascending position order with their columns already
+/// interned as positions of the shared [`UserIndex`]: one worker's share
+/// of a matrix whose index was built before the workers ran.
+/// [`CsrMatrix::from_position_runs`] stitches the runs by concatenation.
 #[derive(Debug, Clone, Default)]
-pub struct RowRun {
-    rows: Vec<UserId>,
+pub struct PositionRun {
+    rows: Vec<u32>,
     /// Per row, the end offset of its entries.
     ends: Vec<usize>,
-    entries: Vec<(UserId, f64)>,
+    cols: Vec<u32>,
+    vals: Vec<f64>,
 }
 
-impl RowRun {
+impl PositionRun {
     /// An empty run with room for `entries` entries.
     #[must_use]
     pub fn with_capacity(entries: usize) -> Self {
         Self {
-            entries: Vec::with_capacity(entries),
+            cols: Vec::with_capacity(entries),
+            vals: Vec::with_capacity(entries),
             ..Self::default()
         }
     }
 
-    /// Appends `row`'s entries (ascending columns) after every row pushed
-    /// so far. Empty rows are skipped: a frozen matrix stores none.
-    pub fn push_row(&mut self, row: UserId, entries: impl IntoIterator<Item = (UserId, f64)>) {
-        let start = self.entries.len();
-        self.entries.extend(entries);
-        if self.entries.len() == start {
+    /// Appends the row at position `row` (entries in ascending column
+    /// position) after every row pushed so far. Empty rows are skipped: a
+    /// frozen matrix stores none.
+    pub fn push_row(&mut self, row: u32, entries: &[(u32, f64)]) {
+        if entries.is_empty() {
             return;
         }
         debug_assert!(
-            self.rows.last().is_none_or(|&last| last < row),
-            "rows must arrive in ascending id order"
+            entries.windows(2).all(|w| w[0].0 < w[1].0),
+            "columns must ascend within a row"
         );
+        debug_assert!(
+            self.rows.last().is_none_or(|&last| last < row),
+            "rows must arrive in ascending position order"
+        );
+        self.cols.extend(entries.iter().map(|&(c, _)| c));
+        self.vals.extend(entries.iter().map(|&(_, v)| v));
         self.rows.push(row);
-        self.ends.push(self.entries.len());
-    }
-
-    /// Every row and column id the run references (unsorted, repeating).
-    pub fn ids(&self) -> impl Iterator<Item = UserId> + '_ {
-        self.rows
-            .iter()
-            .copied()
-            .chain(self.entries.iter().map(|&(c, _)| c))
+        self.ends.push(self.vals.len());
     }
 }
+
+/// The entries a stitch must have before [`CsrMatrix::from_position_runs`]
+/// copies its runs in parallel. Below it, spawning the copy threads costs
+/// more than they save, and copying serially frees each run as it lands,
+/// which keeps peak memory down.
+const MIN_PARALLEL_COPY_ENTRIES: usize = 1 << 20;
 
 /// A frozen, index-interned CSR matrix with an optional per-row overlay.
 ///
 /// Production code builds one from worker row runs
-/// ([`from_row_runs`](Self::from_row_runs)) and patches it row by row
-/// ([`set_row`](Self::set_row)). [`freeze`](Self::freeze) (or
+/// ([`from_position_runs`](Self::from_position_runs)) and patches it row
+/// by row ([`set_row`](Self::set_row)). [`freeze`](Self::freeze) (or
 /// [`freeze_normalized_with`](Self::freeze_normalized_with), which fuses
 /// the Equation 3/5/6 row normalization into the same pass) converts from
 /// the reference [`SparseMatrix`], and [`thaw`](Self::thaw) converts back.
@@ -284,59 +291,79 @@ impl CsrMatrix {
         Self::freeze_impl(index, m, true)
     }
 
-    /// Stitches `runs` into one compact matrix under `index`, which must
-    /// intern every id the runs reference. Each run holds rows in
-    /// ascending id order, and every row of a run precedes every row of
-    /// the next — the shape shard workers produce over contiguous id
-    /// ranges. Each run's ids are resolved on its own scoped thread.
+    /// Stitches `runs` into one compact matrix under `index`, whose
+    /// positions the runs' rows and columns already are. Each run holds
+    /// rows in ascending position order, and every row of a run precedes
+    /// every row of the next — the shape workers produce over contiguous
+    /// ranges of a sorted row set — so the arrays are the runs
+    /// concatenated. A single run's buffers become the arrays as they
+    /// are. Below 2²⁰ entries the runs are copied on the calling thread,
+    /// each freed once copied. Above it one scoped thread
+    /// per run copies it into its own slice of the fresh arrays: the copy
+    /// is bound by the page faults on them, and those spread over the
+    /// cores.
     ///
     /// # Panics
     ///
-    /// Panics when a run references an id missing from `index`.
+    /// Panics when a row or column lies outside `index`, or rows do not
+    /// ascend across runs.
     #[must_use]
-    pub fn from_row_runs(index: &Arc<UserIndex>, runs: Vec<RowRun>) -> Self {
-        let position = |id: UserId| index.position(id).expect("run id interned in index");
-        let nnz = runs.iter().map(|run| run.entries.len()).sum();
-        // Per run: row positions, row end offsets, resolved entries.
-        type Resolved = (Vec<u32>, Vec<usize>, Vec<(u32, f64)>);
-        // Ids resolve on one scoped thread per run. A `(u32, f64)` pair is
-        // the size of a `(UserId, f64)` one, so the collect reuses the
-        // run's buffer, and the copy below frees each run as soon as it
-        // lands: the arrays and the runs are never both held whole.
-        let resolved: Vec<Resolved> = std::thread::scope(|scope| {
-            let workers: Vec<_> = runs
-                .into_iter()
-                .map(|run| {
-                    scope.spawn(move || {
-                        let rows = run.rows.into_iter().map(position).collect();
-                        let entries = run.entries.into_iter().map(|(c, v)| (position(c), v));
-                        (rows, run.ends, entries.collect())
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().expect("resolve worker panicked"))
-                .collect()
-        });
-        let mut indptr = vec![0usize; index.len() + 1];
-        let mut cols = Vec::with_capacity(nnz);
-        let mut vals = Vec::with_capacity(nnz);
+    pub fn from_position_runs(index: &Arc<UserIndex>, mut runs: Vec<PositionRun>) -> Self {
+        let n = index.len();
+        let mut indptr = vec![0usize; n + 1];
         // `next` is the first position whose start offset is still unset.
         let mut next = 0usize;
-        for (rows, ends, entries) in resolved {
-            let mut start = vals.len();
-            for (pos, end) in rows.into_iter().zip(ends) {
+        let mut nnz = 0usize;
+        for run in &runs {
+            let mut start = nnz;
+            for (&pos, &end) in run.rows.iter().zip(&run.ends) {
                 let pos = pos as usize;
-                assert!(pos >= next, "runs must list rows in ascending id order");
+                assert!(
+                    (next..n).contains(&pos),
+                    "runs must list rows of the index in ascending order"
+                );
                 indptr[next..=pos].fill(start);
-                start = vals.len() + end;
+                start = nnz + end;
                 next = pos + 1;
             }
-            cols.extend(entries.iter().map(|&(c, _)| c));
-            vals.extend(entries.iter().map(|&(_, v)| v));
+            assert!(
+                run.cols.iter().all(|&c| (c as usize) < n),
+                "run columns must be positions of the index"
+            );
+            nnz += run.vals.len();
         }
-        indptr[next..].fill(vals.len());
+        indptr[next..].fill(nnz);
+        let (cols, vals) = if runs.len() == 1 {
+            let run = runs.pop().expect("one run");
+            (run.cols, run.vals)
+        } else if nnz < MIN_PARALLEL_COPY_ENTRIES {
+            // Small enough to copy on this thread, freeing each run as it
+            // lands: the runs and the arrays are never both held whole.
+            let (mut cols, mut vals) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+            for run in runs {
+                cols.extend_from_slice(&run.cols);
+                vals.extend_from_slice(&run.vals);
+            }
+            (cols, vals)
+        } else {
+            // One scoped thread per run copies it into its own slice of
+            // the fresh arrays, so their page faults spread over the cores.
+            let (mut cols, mut vals) = (vec![0u32; nnz], vec![0.0f64; nnz]);
+            std::thread::scope(|scope| {
+                let (mut cols_left, mut vals_left) = (&mut cols[..], &mut vals[..]);
+                for run in &runs {
+                    let (c, rest) = std::mem::take(&mut cols_left).split_at_mut(run.cols.len());
+                    cols_left = rest;
+                    let (v, rest) = std::mem::take(&mut vals_left).split_at_mut(run.vals.len());
+                    vals_left = rest;
+                    scope.spawn(move || {
+                        c.copy_from_slice(&run.cols);
+                        v.copy_from_slice(&run.vals);
+                    });
+                }
+            });
+            (cols, vals)
+        };
         Self {
             index: Arc::clone(index),
             storage: Arc::new(CsrStorage { indptr, cols, vals }),
@@ -380,6 +407,19 @@ impl CsrMatrix {
     #[must_use]
     pub fn index(&self) -> &Arc<UserIndex> {
         &self.index
+    }
+
+    /// The row at index position `pos`, as column positions and values —
+    /// the position-space read of a compact matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the matrix has an overlay (patched rows are keyed by
+    /// id, not position) or `pos` lies outside the index.
+    #[must_use]
+    pub fn position_row(&self, pos: u32) -> (&[u32], &[f64]) {
+        assert!(self.is_compact(), "position reads need a compact matrix");
+        self.base_row(pos)
     }
 
     /// Thaws back into a mutable [`SparseMatrix`] (overlay folded in).
@@ -959,7 +999,7 @@ impl CsrMatrix {
 impl Default for CsrMatrix {
     /// The empty matrix, over an empty index.
     fn default() -> Self {
-        Self::from_row_runs(&Arc::default(), Vec::new())
+        Self::from_position_runs(&Arc::default(), Vec::new())
     }
 }
 
@@ -1222,7 +1262,7 @@ mod tests {
     }
 
     #[test]
-    fn row_runs_stitch_to_the_frozen_arrays() {
+    fn position_runs_stitch_to_the_frozen_arrays() {
         let m = synth(97, 6, 77);
         // The index carries ids with no row, so stitching must leave gaps.
         let index = Arc::new(UserIndex::from_ids(
@@ -1231,50 +1271,124 @@ mod tests {
                 .chain([u(500), u(501)]),
         ));
         let frozen = CsrMatrix::freeze_with(&index, &m);
+        let position = |id| index.position(id).expect("interned");
         let rows: Vec<UserId> = m.row_ids().collect();
         for runs in [1, 2, 3, 7, 200] {
-            let runs: Vec<RowRun> = shard_ranges(rows.len(), runs)
+            let runs: Vec<PositionRun> = shard_ranges(rows.len(), runs)
                 .into_iter()
                 .map(|range| {
-                    let mut run = RowRun::default();
+                    let mut run = PositionRun::default();
                     for &r in &rows[range] {
-                        run.push_row(r, m.row(r).expect("listed row").clone());
+                        let row: Vec<(u32, f64)> = m
+                            .row(r)
+                            .expect("listed row")
+                            .iter()
+                            .map(|(&c, &v)| (position(c), v))
+                            .collect();
+                        run.push_row(position(r), &row);
                     }
                     run
                 })
                 .collect();
-            let stitched = CsrMatrix::from_row_runs(&index, runs);
+            let stitched = CsrMatrix::from_position_runs(&index, runs);
             assert_eq!(stitched.storage.indptr, frozen.storage.indptr);
             assert_eq!(stitched.storage.cols, frozen.storage.cols);
             for (a, b) in stitched.storage.vals.iter().zip(&frozen.storage.vals) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
+            for p in 0..index.len() as u32 {
+                assert_eq!(stitched.position_row(p), frozen.position_row(p));
+            }
         }
     }
 
     #[test]
-    fn row_runs_skip_empty_rows_and_handle_no_runs() {
-        let mut run = RowRun::default();
-        run.push_row(u(1), []);
-        run.push_row(u(2), [(u(3), 0.5)]);
-        assert_eq!(run.ids().collect::<Vec<_>>(), vec![u(2), u(3)]);
-        let index = Arc::new(UserIndex::from_ids(run.ids()));
-        assert_eq!(index.ids(), &[u(2), u(3)]);
-        let m = CsrMatrix::from_row_runs(&index, vec![run]);
-        assert_eq!(m.row_ids(), vec![u(2)]);
-        assert_eq!(m.get(u(2), u(3)), 0.5);
+    fn position_runs_skip_empty_rows_and_handle_no_runs() {
+        // Index [2, 3, 9]: row 2 is pushed empty, and 9 is interned but
+        // referenced by no entry — the superset an index built before its
+        // rows may be.
+        let index = Arc::new(UserIndex::from_ids([u(9), u(3), u(2)]));
+        let mut run = PositionRun::default();
+        run.push_row(0, &[]);
+        run.push_row(1, &[(0, 0.5)]);
+        let m = CsrMatrix::from_position_runs(&index, vec![run]);
+        assert_eq!(m.row_ids(), vec![u(3)]);
+        assert_eq!(m.get(u(3), u(2)), 0.5);
+        assert_eq!(m.nnz(), 1);
+        let mut reference = SparseMatrix::new();
+        reference.set(u(3), u(2), 0.5).unwrap();
+        assert_eq!(m, reference, "equality ignores the unreferenced id");
 
-        let empty = CsrMatrix::from_row_runs(&Arc::new(UserIndex::default()), Vec::new());
+        let empty = CsrMatrix::from_position_runs(&Arc::new(UserIndex::default()), Vec::new());
         assert!(empty.is_empty());
+        let no_runs = CsrMatrix::from_position_runs(&index, Vec::new());
+        assert!(no_runs.is_empty());
+        assert_eq!(no_runs.position_row(2), (&[][..], &[][..]));
 
         // Ids far beyond the index length.
-        let mut run = RowRun::default();
-        run.push_row(u(7), [(u(1 << 40), 0.25), (u(u64::MAX), 0.75)]);
-        let index = Arc::new(UserIndex::from_ids(run.ids()));
-        assert_eq!(index.ids(), &[u(7), u(1 << 40), u(u64::MAX)]);
-        let m = CsrMatrix::from_row_runs(&index, vec![run]);
+        let index = Arc::new(UserIndex::from_ids([u(7), u(1 << 40), u(u64::MAX)]));
+        let mut run = PositionRun::default();
+        run.push_row(0, &[(1, 0.25), (2, 0.75)]);
+        let m = CsrMatrix::from_position_runs(&index, vec![run]);
         assert_eq!(m.get(u(7), u(u64::MAX)), 0.75);
         assert_eq!(m.row_ids(), vec![u(7)]);
+    }
+
+    #[test]
+    fn parallel_copy_matches_a_single_run() {
+        let index = Arc::new(UserIndex::from_ids((0..1400).map(u)));
+        let row = |r: u32| -> Vec<(u32, f64)> {
+            (0..1000)
+                .filter(|c| !(c + r).is_multiple_of(7))
+                .map(|c| (c, f64::from(r * 1000 + c + 1)))
+                .collect()
+        };
+        let rows: Vec<u32> = (0..1400).filter(|r| r % 11 != 3).collect();
+        let whole = {
+            let mut run = PositionRun::default();
+            for &r in &rows {
+                run.push_row(r, &row(r));
+            }
+            CsrMatrix::from_position_runs(&index, vec![run])
+        };
+        assert!(
+            whole.nnz() >= MIN_PARALLEL_COPY_ENTRIES,
+            "takes the parallel copy"
+        );
+        let runs: Vec<PositionRun> = shard_ranges(rows.len(), 3)
+            .into_iter()
+            .map(|range| {
+                let mut run = PositionRun::default();
+                for &r in &rows[range] {
+                    run.push_row(r, &row(r));
+                }
+                run
+            })
+            .collect();
+        let split = CsrMatrix::from_position_runs(&index, runs);
+        assert_eq!(split.storage.indptr, whole.storage.indptr);
+        assert_eq!(split.storage.cols, whole.storage.cols);
+        assert_eq!(split.storage.vals, whole.storage.vals);
+    }
+
+    #[test]
+    #[should_panic(expected = "positions of the index")]
+    fn position_runs_reject_columns_outside_the_index() {
+        let index = Arc::new(UserIndex::from_ids([u(1), u(2)]));
+        let mut run = PositionRun::default();
+        run.push_row(0, &[(2, 1.0)]);
+        let _ = CsrMatrix::from_position_runs(&index, vec![run]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending order")]
+    fn position_runs_reject_rows_out_of_order_across_runs() {
+        let index = Arc::new(UserIndex::from_ids([u(1), u(2)]));
+        let mut first = PositionRun::default();
+        first.push_row(1, &[(0, 1.0)]);
+        let mut second = PositionRun::default();
+        second.push_row(0, &[(1, 1.0)]);
+        let _ = CsrMatrix::from_position_runs(&index, vec![first, second]);
     }
 
     #[test]
@@ -1367,16 +1481,28 @@ mod tests {
     fn entry_row_kernels_match_the_matrix_kernels_bit_for_bit() {
         let raw = [synth(40, 4, 23), synth(40, 4, 29), synth(40, 4, 31)];
         let normalized = raw.each_ref().map(SparseMatrix::normalized_rows);
+        // A superset index with ids no entry references, so positions and
+        // ids differ by more than an offset.
+        let index = UserIndex::from_ids((0..40).map(|i| u(3 * i)).chain((0..40).map(u)));
+        let position = |id| index.position(id).expect("interned");
         let bits = |row: &[(UserId, f64)]| -> Vec<(UserId, u64)> {
             row.iter().map(|&(c, v)| (c, v.to_bits())).collect()
         };
-        for weights in [[0.2, 0.3, 0.5], [0.5, 0.0, 0.5]] {
+        let ids = |row: &[(u32, f64)]| -> Vec<(UserId, f64)> {
+            row.iter().map(|&(c, v)| (index.id(c), v)).collect()
+        };
+        let weights = [
+            [0.2, 0.3, 0.5],
+            [0.5, 0.0, 0.5],
+            [0.0, 0.5, 0.5],
+            [0.0, 0.0, 1.0],
+        ];
+        for weights in weights {
             let parts: Vec<(f64, &SparseMatrix)> = weights.into_iter().zip(&normalized).collect();
             for r in (0..40).map(u) {
+                let raw_row = |k: usize| raw[k].row(r).into_iter().flatten().map(|(&c, &v)| (c, v));
                 let rows = std::array::from_fn::<_, 3, _>(|k| {
-                    let entries = normalized_entries(
-                        raw[k].row(r).into_iter().flatten().map(|(&c, &v)| (c, v)),
-                    );
+                    let entries = normalized_entries(raw_row(k));
                     let reference: Vec<(UserId, f64)> = normalized[k]
                         .row(r)
                         .into_iter()
@@ -1386,10 +1512,27 @@ mod tests {
                     assert_eq!(bits(&entries), bits(&reference));
                     entries
                 });
+                let positioned = std::array::from_fn::<_, 3, _>(|k| {
+                    let entries = normalized_entries(raw_row(k).map(|(c, v)| (position(c), v)));
+                    assert_eq!(
+                        bits(&ids(&entries)),
+                        bits(&rows[k]),
+                        "normalize by position"
+                    );
+                    entries
+                });
                 let blended =
-                    blend_entries::<3>(std::array::from_fn(|k| (weights[k], &rows[k][..])));
+                    blend_entries::<_, 3>(std::array::from_fn(|k| (weights[k], &rows[k][..])));
                 let reference: Vec<(UserId, f64)> = blend_row(&parts, r).into_iter().collect();
                 assert_eq!(bits(&blended), bits(&reference));
+                let by_position = blend_entries::<_, 3>(std::array::from_fn(|k| {
+                    (weights[k], &positioned[k][..])
+                }));
+                assert_eq!(
+                    bits(&ids(&by_position)),
+                    bits(&reference),
+                    "blend by position"
+                );
             }
         }
     }

@@ -14,8 +14,8 @@
 //!   the trust matrix — [`principal_eigenvector`].
 //!
 //! Production code builds one matrix type, [`CsrMatrix`]: contiguous
-//! compressed-sparse-row arrays over interned user ids, stitched from
-//! worker [`RowRun`]s, with dirty rows patched in as sorted
+//! compressed-sparse-row arrays over interned user ids, concatenated from
+//! worker [`PositionRun`]s, with dirty rows patched in as sorted
 //! `(column, value)` slices. [`SparseMatrix`] (a `BTreeMap` per row) is the
 //! reference: the property tests and doc examples compute with it, and
 //! every CSR kernel must match its `BTreeMap` counterpart bit for bit.
@@ -45,7 +45,9 @@ mod eigen;
 mod ops;
 mod sparse;
 
-pub use csr::{blend_frozen, map_chunks, shard_ranges, ColumnSet, CsrMatrix, RowRun, UserIndex};
+pub use csr::{
+    blend_frozen, map_chunks, shard_ranges, ColumnSet, CsrMatrix, PositionRun, UserIndex,
+};
 pub use eigen::{principal_eigenvector, EigenOptions, EigenResult};
 pub use ops::{
     blend, blend_entries, blend_parallel, blend_row, build_rows_parallel, BlendError, PowerOptions,

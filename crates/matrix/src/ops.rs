@@ -99,8 +99,12 @@ pub fn blend_row(parts: &[(f64, &SparseMatrix)], row: UserId) -> SparseVector {
 /// [`blend_row`] over `(column, value)` rows in ascending column order,
 /// returned as a pair vector: each column accumulates `Σ wᵢ·vᵢ` from `0.0`
 /// in `parts` order, zero-weight parts are skipped and zero sums dropped.
+/// The column key is a [`UserId`] or an index position; since positions
+/// follow id order, both spaces blend to the same bits.
 #[must_use]
-pub fn blend_entries<const N: usize>(parts: [(f64, &[(UserId, f64)]); N]) -> Vec<(UserId, f64)> {
+pub fn blend_entries<K: Copy + Ord, const N: usize>(
+    parts: [(f64, &[(K, f64)]); N],
+) -> Vec<(K, f64)> {
     let parts = parts.map(|(w, row)| (w, if w == 0.0 { &[][..] } else { row }));
     let mut at = [0usize; N];
     let mut out = Vec::new();

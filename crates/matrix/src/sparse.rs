@@ -71,11 +71,11 @@ pub fn normalize_row_mut(row: &mut SparseVector) -> bool {
 /// [`normalized_row`] over `(column, value)` entries in ascending column
 /// order, returned as a pair vector: the same column-order sum and
 /// per-entry division, with entries that underflow to zero dropped. A
-/// zero-sum row normalizes to the empty row.
+/// zero-sum row normalizes to the empty row. The column key is opaque —
+/// a [`UserId`] or an index position — so one kernel serves rows in
+/// either space, with the same bits.
 #[must_use]
-pub fn normalized_entries(
-    raw: impl IntoIterator<Item = (UserId, f64)> + Clone,
-) -> Vec<(UserId, f64)> {
+pub fn normalized_entries<K>(raw: impl IntoIterator<Item = (K, f64)> + Clone) -> Vec<(K, f64)> {
     let sum: f64 = raw.clone().into_iter().map(|(_, v)| v).sum();
     if sum <= 0.0 {
         return Vec::new();

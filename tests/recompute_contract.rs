@@ -8,11 +8,17 @@
 //! retention drift, expiring saturation windows and user removal all land
 //! mid-stream. The incremental threshold is drawn from {0.0, 0.25, 1.0}, so
 //! `Full`, `FallbackFull` and `Incremental` epochs interleave.
+//!
+//! A third property holds a rebuild of every row against the reference
+//! `SparseMatrix` path in the corners where its index interns ids no entry
+//! references: `α = 0`, blacklist-only ratings, zero-size downloads,
+//! whitewashed users and `steps = 2`.
 
 use mdrep_repro::core::{
-    EngineEvent, Params, ReputationEngine, ReputationMatrix, ShardedEngine, TrustComponents,
+    EngineEvent, FileTrust, FileTrustOptions, Params, ReputationEngine, ReputationMatrix,
+    ShardedEngine, TrustComponents, UserTrust, VolumeTrust, Weights,
 };
-use mdrep_repro::matrix::CsrMatrix;
+use mdrep_repro::matrix::{blend, CsrMatrix, PowerOptions, SparseMatrix};
 use mdrep_repro::types::{Evaluation, FileId, FileSize, SimDuration, SimTime, UserId};
 use proptest::prelude::*;
 
@@ -191,6 +197,185 @@ proptest! {
                     "{} at shard count {}, threshold {}", diverged, shards, threshold
                 );
             }
+        }
+    }
+}
+
+/// The corners where a rebuild of every row interns ids that no entry
+/// references, so its index is a strict superset of the ids its matrices
+/// use.
+#[derive(Debug, Clone, Copy)]
+enum Corner {
+    /// `α = 0`: FM is built, but no FM entry reaches TM.
+    AlphaZero,
+    /// Every rating is a blacklist entry: raters and targets are interned,
+    /// `UM` is empty.
+    BlacklistOnly,
+    /// Every download is zero-sized: uploaders are interned, `DM` is
+    /// empty.
+    ZeroSize,
+    /// Users leave mid-stream and come back under the same id.
+    Whitewash,
+    /// `RM = TM²`: the power runs over the superset index.
+    TwoSteps,
+}
+
+const CORNERS: [Corner; 5] = [
+    Corner::AlphaZero,
+    Corner::BlacklistOnly,
+    Corner::ZeroSize,
+    Corner::Whitewash,
+    Corner::TwoSteps,
+];
+
+fn corner_params(corner: Corner) -> Params {
+    let mut builder = Params::builder();
+    builder.incremental_threshold(0.0);
+    match corner {
+        Corner::AlphaZero => {
+            builder.weights(Weights::new(0.0, 0.5, 0.5).expect("convex"));
+        }
+        Corner::TwoSteps => {
+            builder.steps(2);
+        }
+        _ => {}
+    }
+    builder.build().expect("valid")
+}
+
+/// Rewrites one event for `corner`.
+fn corner_event(corner: Corner, event: EngineEvent) -> EngineEvent {
+    match (corner, event) {
+        (Corner::BlacklistOnly, EngineEvent::Rank { rater, target, .. }) => EngineEvent::Rank {
+            rater,
+            target,
+            value: Evaluation::WORST,
+        },
+        (
+            Corner::ZeroSize,
+            EngineEvent::Download {
+                time,
+                downloader,
+                uploader,
+                file,
+                ..
+            },
+        ) => EngineEvent::Download {
+            time,
+            downloader,
+            uploader,
+            file,
+            size: FileSize::ZERO,
+        },
+        (_, event) => event,
+    }
+}
+
+/// The reference path: Equations 3–8 on `SparseMatrix`, from the engine's
+/// evaluations and a second copy of the download log and the ratings.
+fn reference_path(
+    engine: &ReputationEngine,
+    volume: &VolumeTrust,
+    ratings: &UserTrust,
+    now: SimTime,
+) -> [SparseMatrix; 5] {
+    let params = engine.params();
+    let evals = engine.evaluations();
+    let ft = FileTrust::compute_with(evals, now, params, FileTrustOptions::default());
+    let fm = ft.raw().thaw().normalized_rows();
+    let mut vd = SparseMatrix::new();
+    for d in volume.rows() {
+        let row = volume.vd_row(d, evals, now, params).into_iter().collect();
+        vd.set_row(d, row).expect("volumes are finite");
+    }
+    let mut ut = SparseMatrix::new();
+    for r in ratings.rows() {
+        ut.set_row(r, ratings.ut_row(r).into_iter().collect())
+            .expect("ratings are finite");
+    }
+    let (dm, um) = (vd.normalized_rows(), ut.normalized_rows());
+    let w = params.weights();
+    let tm = blend(&[(w.alpha(), &fm), (w.beta(), &dm), (w.gamma(), &um)]).expect("convex");
+    let rm = tm.power(params.steps(), PowerOptions::exact());
+    [fm, dm, um, tm, rm]
+}
+
+/// [`EngineSnapshot::digest`](mdrep_repro::core::EngineSnapshot::digest)
+/// as documented: FNV-1a over the epoch and every `RM` entry's bits.
+fn reference_digest(epoch: u64, rm: &SparseMatrix) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |x: u64| {
+        for byte in x.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    mix(epoch);
+    for (r, c, v) in rm.iter() {
+        mix(r.as_u64());
+        mix(c.as_u64());
+        mix(v.to_bits());
+    }
+    h
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// In every corner, a rebuild of every row equals the reference
+    /// `SparseMatrix` path entry for entry, bit for bit, and the snapshot
+    /// digest is the one the reference `RM` gives: ids the index holds but
+    /// no entry references change nothing a reader sees.
+    #[test]
+    fn full_rebuild_matches_the_reference_path(ops in ops_strategy(60)) {
+        for corner in CORNERS {
+            let mut engine = ReputationEngine::new(corner_params(corner));
+            let (mut volume, mut ratings) = (VolumeTrust::new(), UserTrust::new());
+            let mut now = SimTime::ZERO;
+            let mut events = Vec::new();
+            for (i, &op) in ops.iter().enumerate() {
+                match step(op, &mut now) {
+                    Step::Event(event) => events.push(corner_event(corner, event)),
+                    Step::Recompute => engine.recompute(now),
+                    Step::Skip => {}
+                }
+                if matches!(corner, Corner::Whitewash) && i % 5 == 4 {
+                    events.push(EngineEvent::Whitewash { user: UserId::new(op.1) });
+                }
+                for event in events.drain(..) {
+                    match event {
+                        EngineEvent::Download { downloader, uploader, file, size, .. } => {
+                            volume.record_download(downloader, uploader, file, size);
+                        }
+                        EngineEvent::Rank { rater, target, value } => {
+                            ratings.rate(rater, target, value);
+                        }
+                        EngineEvent::Whitewash { user } => {
+                            volume.remove_user(user);
+                            ratings.remove_user(user);
+                        }
+                        _ => {}
+                    }
+                    event.apply_to(&mut engine);
+                }
+            }
+            engine.full_rebuild(now);
+
+            let want = reference_path(&engine, &volume, &ratings, now);
+            let (comps, rm) = matrices(&engine);
+            let got = [&comps.fm, &comps.dm, &comps.um, &comps.tm, rm.matrix()];
+            for (name, g, w) in ["FM", "DM", "UM", "TM", "RM"].into_iter().zip(got).zip(&want)
+                .map(|((n, g), w)| (n, g, w))
+            {
+                let reference: Vec<(UserId, UserId, u64)> =
+                    w.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect();
+                prop_assert!(bits(g) == reference, "{} diverged in {:?}", name, corner);
+            }
+            prop_assert_eq!(
+                engine.snapshot_at(1, now).digest(),
+                reference_digest(1, &want[4]),
+                "digest diverged in {:?}", corner
+            );
         }
     }
 }
