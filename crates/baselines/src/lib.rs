@@ -14,8 +14,10 @@
 //!   with multi-dimensional trust).
 //! - [`Lip`] — Feng & Dai's lifetime-and-popularity file ranking, a
 //!   reputation-free pollution filter.
-//! - [`MultiDimensional`] — the paper's system (an adapter over
-//!   [`mdrep::ReputationEngine`]) so it plugs into the same harness.
+//! - [`MultiDimensional`] — the paper's system, so it plugs into the same
+//!   harness: each trait method is one call on a
+//!   [`mdrep::ReputationEngine`], whose reads answer from its
+//!   [`mdrep::EngineSnapshot`].
 //!
 //! # Examples
 //!
@@ -43,7 +45,7 @@ mod tit_for_tat;
 
 pub use eigentrust::{EigenTrust, EigenTrustConfig};
 pub use lip::{Lip, LipConfig};
-pub use mdrep_adapter::{MultiDimensional, MultiDimensionalSharded};
+pub use mdrep_adapter::MultiDimensional;
 pub use multi_trust::MultiTrustHybrid;
 pub use no_rep::NoReputation;
 pub use system::ReputationSystem;

@@ -3,10 +3,9 @@
 //! baselines symmetrically.
 
 use crate::system::ReputationSystem;
-use mdrep::{EngineSnapshot, OwnerEvaluation, Params, ReputationEngine, ShardedEngine};
+use mdrep::{OwnerEvaluation, Params, ReputationEngine};
 use mdrep_types::{FileId, SimTime, UserId};
 use mdrep_workload::{Catalog, TraceEvent};
-use std::sync::Arc;
 
 /// The multi-dimensional reputation system behind the common trait.
 ///
@@ -69,24 +68,8 @@ impl ReputationSystem for MultiDimensional {
         self.engine.reputation(i, j)
     }
 
-    /// `RM` rows are (sub)stochastic: a well-connected viewer's entries are
-    /// individually small, so the service policy gets the row-max-scaled
-    /// value (the same scaling [`mdrep::ServicePolicy::decide`] applies).
     fn relative_reputation(&self, i: UserId, j: UserId) -> f64 {
-        let raw = self.engine.reputation(i, j);
-        if raw == 0.0 {
-            return 0.0;
-        }
-        let row_max = self
-            .engine
-            .reputation_matrix()
-            .map(|rm| rm.row_max(i))
-            .unwrap_or(0.0);
-        if row_max > 0.0 {
-            raw / row_max
-        } else {
-            0.0
-        }
+        self.engine.relative_reputation(i, j)
     }
 
     fn file_score(
@@ -101,122 +84,8 @@ impl ReputationSystem for MultiDimensional {
             .map(|e| e.value())
     }
 
-    /// Overrides the per-pair default with the engine's contiguous CSR
-    /// coverage kernel. Punished targets stay uncovered (they read as zero
-    /// through [`reputation`](ReputationSystem::reputation)), so the pairs
-    /// are pre-filtered before hitting the kernel.
     fn request_coverage(&self, requests: &[(UserId, UserId)]) -> f64 {
-        if requests.is_empty() {
-            return 0.0;
-        }
-        if requests.iter().any(|&(_, j)| self.engine.is_punished(j)) {
-            // Punished targets must read as uncovered; fall back to the
-            // per-pair reads (still CSR-backed through the engine).
-            let covered = requests
-                .iter()
-                .filter(|&&(i, j)| self.engine.reputation(i, j) > 0.0)
-                .count();
-            return covered as f64 / requests.len() as f64;
-        }
         self.engine.request_coverage(requests)
-    }
-}
-
-/// The sharded epoch-snapshot engine behind the common trait.
-///
-/// Ingestion enqueues on the sharded engine; `recompute`/`full_rebuild`
-/// publish an epoch and pin its snapshot, so every subsequent query reads
-/// one consistent epoch lock-free — the exact dataflow the concurrent
-/// replay harness drives, made arena-comparable.
-///
-/// # Examples
-///
-/// ```
-/// use mdrep::Params;
-/// use mdrep_baselines::{MultiDimensionalSharded, ReputationSystem};
-///
-/// let md = MultiDimensionalSharded::new(Params::default(), 4);
-/// assert_eq!(md.name(), "multi-dimensional-sharded");
-/// ```
-#[derive(Debug)]
-pub struct MultiDimensionalSharded {
-    engine: ShardedEngine,
-    pinned: Arc<EngineSnapshot>,
-}
-
-impl MultiDimensionalSharded {
-    /// Wraps a fresh sharded engine with `shards` ingest shards.
-    #[must_use]
-    pub fn new(params: Params, shards: usize) -> Self {
-        let engine = ShardedEngine::new(params, shards);
-        let pinned = engine.snapshot();
-        Self { engine, pinned }
-    }
-
-    /// The underlying sharded engine (snapshots, readers, epoch control).
-    #[must_use]
-    pub fn engine(&self) -> &ShardedEngine {
-        &self.engine
-    }
-
-    /// The epoch snapshot the trait queries currently read from.
-    #[must_use]
-    pub fn snapshot(&self) -> &Arc<EngineSnapshot> {
-        &self.pinned
-    }
-}
-
-impl ReputationSystem for MultiDimensionalSharded {
-    fn name(&self) -> &'static str {
-        "multi-dimensional-sharded"
-    }
-
-    fn observe(&mut self, event: &TraceEvent, catalog: &Catalog) {
-        self.engine.observe_trace_event(event, catalog);
-    }
-
-    fn recompute(&mut self, now: SimTime) {
-        self.engine.recompute_epoch(now);
-        self.pinned = self.engine.snapshot();
-    }
-
-    fn full_rebuild(&mut self, now: SimTime) {
-        self.engine.full_rebuild_epoch(now);
-        self.pinned = self.engine.snapshot();
-    }
-
-    fn reputation(&self, i: UserId, j: UserId) -> f64 {
-        self.pinned.reputation(i, j)
-    }
-
-    fn relative_reputation(&self, i: UserId, j: UserId) -> f64 {
-        self.pinned.relative_reputation(i, j)
-    }
-
-    fn file_score(
-        &self,
-        viewer: UserId,
-        _file: FileId,
-        evaluations: &[OwnerEvaluation],
-        _now: SimTime,
-    ) -> Option<f64> {
-        self.pinned
-            .file_reputation(viewer, evaluations)
-            .map(|e| e.value())
-    }
-
-    fn request_coverage(&self, requests: &[(UserId, UserId)]) -> f64 {
-        if requests.is_empty() {
-            return 0.0;
-        }
-        if requests.iter().any(|&(_, j)| self.pinned.is_punished(j)) {
-            let covered = requests
-                .iter()
-                .filter(|&&(i, j)| self.pinned.reputation(i, j) > 0.0)
-                .count();
-            return covered as f64 / requests.len() as f64;
-        }
-        self.pinned.request_coverage(requests)
     }
 }
 
@@ -272,40 +141,6 @@ mod tests {
         assert!(md.reputation(a, b) > 0.0);
         // Both paths agree that b has earned trust from a.
         assert!(engine.reputation(a, b) > 0.0);
-    }
-
-    #[test]
-    fn sharded_adapter_matches_unsharded_on_a_trace() {
-        let config = WorkloadConfig::builder()
-            .users(30)
-            .titles(20)
-            .days(2)
-            .behavior_mix(BehaviorMix::realistic())
-            .seed(3)
-            .build()
-            .unwrap();
-        let trace = TraceBuilder::new(config).generate();
-        let mut plain = MultiDimensional::new(Params::default());
-        let mut sharded = MultiDimensionalSharded::new(Params::default(), 4);
-        for event in trace.events() {
-            plain.observe(event, trace.catalog());
-            sharded.observe(event, trace.catalog());
-        }
-        let end = SimTime::ZERO + mdrep_types::SimDuration::from_days(2);
-        plain.recompute(end);
-        sharded.recompute(end);
-
-        let pairs = trace.request_pairs();
-        assert!((plain.request_coverage(&pairs) - sharded.request_coverage(&pairs)).abs() < 1e-15);
-        for &(i, j) in pairs.iter().take(50) {
-            assert_eq!(
-                plain.reputation(i, j).to_bits(),
-                sharded.reputation(i, j).to_bits(),
-                "RM[{i}, {j}] diverged between adapters"
-            );
-        }
-        assert_eq!(sharded.engine().epoch(), 1);
-        assert_eq!(sharded.snapshot().epoch(), 1);
     }
 
     #[test]

@@ -5,17 +5,18 @@
 //! feed it observations — downloads, votes, deletions, user ratings — then
 //! call [`ReputationEngine::recompute`] to rebuild
 //! `RM = (α·FM + β·DM + γ·UM)^n` and query reputations, file verdicts, and
-//! service decisions.
+//! service decisions. The computed state is one [`EngineSnapshot`]: every
+//! read delegates to it, and [`ReputationEngine::snapshot_at`] publishes a
+//! restamped copy of it.
 
 use crate::audit::{AuditOutcome, Auditor};
 use crate::eval::EvaluationStore;
-use crate::file_reputation::{
-    download_decision, file_reputation, DownloadDecision, OwnerEvaluation,
-};
+use crate::file_reputation::{DownloadDecision, OwnerEvaluation};
 use crate::file_trust::{FileTrustOptions, FileTrustState};
 use crate::incentive::{ServiceDecision, ServicePolicy};
 use crate::params::Params;
 use crate::reputation::ReputationMatrix;
+use crate::sharded::EngineEvent;
 use crate::snapshot::EngineSnapshot;
 use crate::user_trust::UserTrust;
 use crate::volume_trust::VolumeTrust;
@@ -23,8 +24,8 @@ use mdrep_matrix::{
     blend_entries, map_chunks, normalized_entries, CsrMatrix, PositionRun, UserIndex,
 };
 use mdrep_types::{Evaluation, FileId, FileSize, SimTime, UserId};
-use mdrep_workload::{Catalog, EventKind, TraceEvent};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use mdrep_workload::{Catalog, TraceEvent};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// The one-step matrices of the last recomputation, kept for inspection and
@@ -90,7 +91,6 @@ pub enum RecomputeMode {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReputationEngine {
-    params: Params,
     file_trust_options: FileTrustOptions,
     evals: EvaluationStore,
     volume: VolumeTrust,
@@ -101,9 +101,10 @@ pub struct ReputationEngine {
     /// has many co-evaluators, and expanding once per recompute instead of
     /// once per event keeps ingestion O(log n) per event.
     dirty_files: BTreeSet<FileId>,
-    rm: Option<ReputationMatrix>,
-    components: Option<TrustComponents>,
-    punished: HashSet<UserId>,
+    /// The computed state (`RM`, the one-step components, the punished
+    /// set) and the parameters; every read answers from it. Its epoch
+    /// stays 0: [`snapshot_at`](Self::snapshot_at) stamps the copies.
+    state: EngineSnapshot,
     last_recompute: Option<SimTime>,
     last_mode: Option<RecomputeMode>,
     last_dirty_rows: usize,
@@ -271,16 +272,13 @@ impl ReputationEngine {
     #[must_use]
     pub fn with_options(params: Params, file_trust_options: FileTrustOptions) -> Self {
         Self {
-            params,
             file_trust_options,
             evals: EvaluationStore::new(),
             volume: VolumeTrust::new(),
             user_trust: UserTrust::new(),
             file_trust: FileTrustState::new(),
             dirty_files: BTreeSet::new(),
-            rm: None,
-            components: None,
-            punished: HashSet::new(),
+            state: EngineSnapshot::empty(params),
             last_recompute: None,
             last_mode: None,
             last_dirty_rows: 0,
@@ -292,13 +290,13 @@ impl ReputationEngine {
     /// The engine's parameters.
     #[must_use]
     pub fn params(&self) -> &Params {
-        &self.params
+        self.state.params()
     }
 
     /// Whether dirty-row bookkeeping is worth the per-event cost: with a
     /// zero threshold every recompute rebuilds every row anyway.
     fn dirty_tracking_enabled(&self) -> bool {
-        self.params.incremental_threshold() > 0.0
+        self.params().incremental_threshold() > 0.0
     }
 
     /// Notes that an evaluation change on `file` invalidated `FM` rows: all
@@ -399,36 +397,15 @@ impl ReputationEngine {
     /// catalog (unknown files fall back to zero size, contributing no
     /// volume trust).
     pub fn observe_trace_event(&mut self, event: &TraceEvent, catalog: &Catalog) {
-        match event.kind {
-            EventKind::Join { .. } => {}
-            EventKind::Publish { user, file } => self.observe_publish(event.time, user, file),
-            EventKind::Download {
-                downloader,
-                uploader,
-                file,
-            } => {
-                let size = catalog.file_meta(file).map_or(FileSize::ZERO, |m| m.size);
-                self.observe_download(event.time, downloader, uploader, file, size);
-            }
-            EventKind::Vote { user, file, value } => {
-                self.observe_vote(event.time, user, file, value);
-            }
-            EventKind::Delete { user, file } => self.observe_delete(event.time, user, file),
-            EventKind::RankUser {
-                rater,
-                target,
-                value,
-            } => {
-                self.observe_rank(rater, target, value);
-            }
-            EventKind::Whitewash { user } => self.observe_whitewash(user),
+        if let Some(event) = EngineEvent::from_trace(event, catalog) {
+            event.apply_to(self);
         }
     }
 
     /// Drops evaluations older than the configured interval. Returns how
     /// many records were expired.
     pub fn expire(&mut self, now: SimTime) -> usize {
-        let dropped = self.evals.expire_detailed(now, &self.params);
+        let dropped = self.evals.expire_detailed(now, self.state.params());
         if self.dirty_tracking_enabled() {
             for &(user, file) in &dropped {
                 self.volume.mark_dirty(user);
@@ -502,8 +479,8 @@ impl ReputationEngine {
     /// ramping at the previous recompute have changed rows even without new
     /// events, so they (and their co-evaluators) join the dirty sets.
     fn plan_mode(&mut self, now: SimTime, force_full: bool) -> RecomputeMode {
-        let threshold = self.params.incremental_threshold();
-        if force_full || threshold <= 0.0 || self.components.is_none() || self.rm.is_none() {
+        let threshold = self.params().incremental_threshold();
+        if force_full || threshold <= 0.0 || self.state.reputation_matrix().is_none() {
             return RecomputeMode::Full;
         }
         self.expand_dirty_files();
@@ -524,7 +501,7 @@ impl ReputationEngine {
             if now != last {
                 let drifting = self
                     .evals
-                    .users_with_unsaturated_records(last, self.params.retention_saturation());
+                    .users_with_unsaturated_records(last, self.params().retention_saturation());
                 if drifting.len() as f64 > budget {
                     // Don't pay for the co-evaluator expansion when the
                     // drifting users alone already bust the budget.
@@ -568,21 +545,18 @@ impl ReputationEngine {
     ///    matrices' copy-on-write overlays; a rebuild of every row
     ///    concatenates the workers' runs into fresh contiguous CSR arrays.
     fn rebuild(&mut self, now: SimTime, mode: RecomputeMode) {
-        let threads = self.params.effective_threads();
+        let threads = self.params().effective_threads();
         let incremental = mode == RecomputeMode::Incremental;
 
         let fm_dirty = {
             let _phase = mdrep_obs::phase("engine.recompute.fm_build");
+            let params = self.state.params();
             if incremental {
                 self.file_trust
-                    .apply_dirty(&self.evals, now, &self.params, self.file_trust_options)
+                    .apply_dirty(&self.evals, now, params, self.file_trust_options)
             } else {
-                self.file_trust.full_rebuild(
-                    &self.evals,
-                    now,
-                    &self.params,
-                    self.file_trust_options,
-                );
+                self.file_trust
+                    .full_rebuild(&self.evals, now, params, self.file_trust_options);
                 Vec::new()
             }
         };
@@ -595,15 +569,11 @@ impl ReputationEngine {
             self.user_trust.take_dirty(),
         ];
         let dirty = if incremental {
-            Some((
-                dirty_sets,
-                self.components
-                    .take()
-                    .expect("incremental mode requires prior components"),
-                self.rm
-                    .take()
-                    .expect("incremental mode requires a prior RM"),
-            ))
+            let (components, rm) = self
+                .state
+                .take_matrices()
+                .expect("incremental mode requires prior matrices");
+            Some((dirty_sets, components, rm))
         } else {
             self.dirty_files.clear();
             None
@@ -627,7 +597,7 @@ impl ReputationEngine {
             volume: &self.volume,
             user_trust: &self.user_trust,
             evals: &self.evals,
-            params: &self.params,
+            params: self.state.params(),
             now,
         };
         let (components, rm) = match dirty {
@@ -650,7 +620,7 @@ impl ReputationEngine {
                 // snapshot; everything else is shared).
                 let _phase = mdrep_obs::phase("engine.recompute.merge");
                 let mut publish_bytes = 0usize;
-                let one_step = self.params.steps() == 1;
+                let one_step = sources.params.steps() == 1;
                 for patch in patches {
                     let u = patch.user;
                     let matrices = [&mut comps.fm, &mut comps.dm, &mut comps.um];
@@ -676,7 +646,7 @@ impl ReputationEngine {
                     // the incrementally maintained TM (compacted inside
                     // `compute_csr` before the SpGEMM steps). The rebuilt RM
                     // is fresh storage.
-                    rm = ReputationMatrix::compute_csr(comps.tm.clone(), &self.params);
+                    rm = ReputationMatrix::compute_csr(comps.tm.clone(), sources.params);
                     publish_bytes += rm.approx_bytes();
                 }
                 self.last_publish_rows = rows.len();
@@ -750,7 +720,7 @@ impl ReputationEngine {
                 // at once.
                 let [fm, dm, um, tm] =
                     per_matrix.map(|runs| CsrMatrix::from_position_runs(&columns.index, runs));
-                let rm = ReputationMatrix::compute_csr(tm.clone(), &self.params);
+                let rm = ReputationMatrix::compute_csr(tm.clone(), sources.params);
                 // Every matrix was materialized from scratch: the next
                 // snapshot shares nothing with the previous one.
                 self.last_publish_rows = rows.len();
@@ -763,8 +733,7 @@ impl ReputationEngine {
             }
         };
         Self::record_matrix_gauges(&components.tm, &rm);
-        self.rm = Some(rm);
-        self.components = Some(components);
+        self.state.set_matrices(components, rm);
     }
 
     fn record_matrix_gauges(tm: &CsrMatrix, rm: &ReputationMatrix) {
@@ -826,29 +795,34 @@ impl ReputationEngine {
     /// first recomputation, for unknown pairs, and for punished targets.
     #[must_use]
     pub fn reputation(&self, i: UserId, j: UserId) -> f64 {
-        if self.punished.contains(&j) {
-            return 0.0;
-        }
-        self.rm.as_ref().map_or(0.0, |rm| rm.reputation(i, j))
+        self.state.reputation(i, j)
+    }
+
+    /// [`reputation`](Self::reputation) rescaled so `i`'s most-trusted peer
+    /// maps to 1 (see [`EngineSnapshot::relative_reputation`]).
+    #[must_use]
+    pub fn relative_reputation(&self, i: UserId, j: UserId) -> f64 {
+        self.state.relative_reputation(i, j)
     }
 
     /// Marks `user` as punished (caught forging evaluations, Section 4.2
-    /// attack 3): its reputation reads as zero everywhere and its published
-    /// evaluations stop counting in Equation 9. The underlying observations
-    /// are kept so a [`pardon`](Self::pardon) can restore the user.
+    /// attack 3): its reputation reads as zero everywhere, it gets
+    /// stranger-level service, and its published evaluations stop counting
+    /// in Equation 9. The underlying observations are kept so a
+    /// [`pardon`](Self::pardon) can restore the user.
     pub fn mark_punished(&mut self, user: UserId) {
-        self.punished.insert(user);
+        self.state.set_punished(user, true);
     }
 
     /// Lifts a punishment.
     pub fn pardon(&mut self, user: UserId) {
-        self.punished.remove(&user);
+        self.state.set_punished(user, false);
     }
 
     /// Whether `user` is currently punished.
     #[must_use]
     pub fn is_punished(&self, user: UserId) -> bool {
-        self.punished.contains(&user)
+        self.state.is_punished(user)
     }
 
     /// Runs one proactive audit of `user`'s published evaluations through
@@ -871,73 +845,48 @@ impl ReputationEngine {
     /// The full reputation matrix, if computed.
     #[must_use]
     pub fn reputation_matrix(&self) -> Option<&ReputationMatrix> {
-        self.rm.as_ref()
+        self.state.reputation_matrix()
     }
 
     /// The one-step matrices of the last recomputation, if any.
     #[must_use]
     pub fn components(&self) -> Option<&TrustComponents> {
-        self.components.as_ref()
+        self.state.components()
     }
 
-    /// Equation 9 for `viewer` over the supplied owner evaluations.
-    /// Punished owners' evaluations are discarded first. `None` before the
-    /// first recomputation or when no remaining owner is reputable.
+    /// Equation 9 for `viewer` (see [`EngineSnapshot::file_reputation`]).
     #[must_use]
     pub fn file_reputation(
         &self,
         viewer: UserId,
         evaluations: &[OwnerEvaluation],
     ) -> Option<Evaluation> {
-        let trusted = self.trusted_evaluations(evaluations);
-        self.rm
-            .as_ref()
-            .and_then(|rm| file_reputation(rm, viewer, &trusted))
+        self.state.file_reputation(viewer, evaluations)
     }
 
-    /// Batched Equation 9: the same owner evaluations scored by many
-    /// viewers (one file's owner set against a viewer panel). Punished
-    /// owners are discarded once for the whole batch; each entry matches
-    /// [`file_reputation`](Self::file_reputation) for that viewer. Returns
-    /// all-`None` before the first recomputation.
+    /// Batched Equation 9 (see [`EngineSnapshot::file_reputation_batch`]).
     #[must_use]
     pub fn file_reputation_batch(
         &self,
         viewers: &[UserId],
         evaluations: &[OwnerEvaluation],
     ) -> Vec<Option<Evaluation>> {
-        let trusted = self.trusted_evaluations(evaluations);
-        match &self.rm {
-            None => vec![None; viewers.len()],
-            Some(rm) => crate::file_reputation::file_reputation_batch(rm, viewers, &trusted),
-        }
+        self.state.file_reputation_batch(viewers, evaluations)
     }
 
-    /// The download decision for `viewer` over the supplied evaluations
-    /// (punished owners discarded).
+    /// The download decision for `viewer` (see
+    /// [`EngineSnapshot::decide_download`]).
     #[must_use]
     pub fn decide_download(
         &self,
         viewer: UserId,
         evaluations: &[OwnerEvaluation],
     ) -> DownloadDecision {
-        let trusted = self.trusted_evaluations(evaluations);
-        match &self.rm {
-            None => DownloadDecision::Unknown,
-            Some(rm) => download_decision(rm, viewer, &trusted, &self.params),
-        }
+        self.state.decide_download(viewer, evaluations)
     }
 
-    fn trusted_evaluations(&self, evaluations: &[OwnerEvaluation]) -> Vec<OwnerEvaluation> {
-        evaluations
-            .iter()
-            .filter(|oe| !self.punished.contains(&oe.owner))
-            .copied()
-            .collect()
-    }
-
-    /// The service `uploader` grants `requester` under `policy`
-    /// (stranger-level before the first recomputation).
+    /// The service `uploader` grants `requester` under `policy` (see
+    /// [`EngineSnapshot::service`]).
     #[must_use]
     pub fn service(
         &self,
@@ -945,16 +894,10 @@ impl ReputationEngine {
         requester: UserId,
         policy: &ServicePolicy,
     ) -> ServiceDecision {
-        match &self.rm {
-            None => policy.decide_scaled(0.0),
-            Some(rm) => policy.decide(rm, uploader, requester),
-        }
+        self.state.service(uploader, requester, policy)
     }
 
-    /// Tier-based service (the multi-tier incentive scheme): which trust
-    /// tier `requester` falls into for `uploader` decides the band, the
-    /// in-tier value the position inside it. Punished requesters are
-    /// strangers.
+    /// Tier-based service (see [`EngineSnapshot::service_tiered`]).
     #[must_use]
     pub fn service_tiered(
         &self,
@@ -962,11 +905,7 @@ impl ReputationEngine {
         requester: UserId,
         policy: &ServicePolicy,
     ) -> ServiceDecision {
-        match &self.rm {
-            _ if self.punished.contains(&requester) => policy.decide_scaled(0.0),
-            None => policy.decide_scaled(0.0),
-            Some(rm) => policy.decide_tiered(rm.tier_of(uploader, requester), rm.steps().max(1)),
-        }
+        self.state.service_tiered(uploader, requester, policy)
     }
 
     /// The evaluations `user` would publish to the DHT at `now` (Fig. 2
@@ -977,7 +916,7 @@ impl ReputationEngine {
         user: UserId,
         now: SimTime,
     ) -> BTreeMap<FileId, Evaluation> {
-        self.evals.evaluations_of(user, now, &self.params)
+        self.evals.evaluations_of(user, now, self.params())
     }
 
     /// Read access to the evaluation store (for experiments).
@@ -986,50 +925,24 @@ impl ReputationEngine {
         &self.evals
     }
 
-    /// Figure 1 metric over the last recomputed `RM`: fraction of request
-    /// pairs with positive reputation. 0.0 before the first recomputation.
+    /// Figure 1 request coverage (see
+    /// [`EngineSnapshot::request_coverage`]).
     #[must_use]
     pub fn request_coverage(&self, requests: &[(UserId, UserId)]) -> f64 {
-        self.rm
-            .as_ref()
-            .map_or(0.0, |rm| rm.request_coverage(requests))
+        self.state.request_coverage(requests)
     }
 
-    /// Captures the engine's *computed* state (components, `RM`, punished
-    /// set) as an immutable [`EngineSnapshot`] stamped with `epoch`. The
-    /// snapshot answers every read query the engine does, against exactly
-    /// this recompute's matrices — the publication unit of the sharded
-    /// epoch-snapshot architecture.
+    /// The engine's computed state (components, `RM`, punished set) as an
+    /// immutable [`EngineSnapshot`] stamped with `epoch` — the publication
+    /// unit of the sharded epoch-snapshot architecture. It answers every
+    /// read exactly as the engine does now.
     ///
     /// Cheap: the frozen CSR arrays are copy-on-write (`Arc`-shared), so
     /// the clone costs only the overlay pointer maps and the punished set —
     /// `O(dirty rows)`, not `O(nnz)`.
     #[must_use]
     pub fn snapshot_at(&self, epoch: u64, as_of: SimTime) -> EngineSnapshot {
-        let (params, components, rm, punished) = self.snapshot_parts();
-        EngineSnapshot::new(epoch, as_of, params, components, rm, punished)
-    }
-
-    /// The copy-on-write clones a snapshot is assembled from. The sharded
-    /// engine grabs these under the master lock (cheap — shared `Arc`s and
-    /// overlay pointer maps) and builds the [`EngineSnapshot`] *after*
-    /// dropping it, keeping the lock's critical section minimal.
-    #[must_use]
-    #[allow(clippy::type_complexity)]
-    pub fn snapshot_parts(
-        &self,
-    ) -> (
-        Params,
-        Option<TrustComponents>,
-        Option<ReputationMatrix>,
-        HashSet<UserId>,
-    ) {
-        (
-            self.params.clone(),
-            self.components.clone(),
-            self.rm.clone(),
-            self.punished.clone(),
-        )
+        self.state.restamped(epoch, as_of)
     }
 }
 

@@ -11,8 +11,7 @@
 //! fakes quickly all raise reputation and therefore buy better service —
 //! that feedback loop is the whole point of combining trust with incentive.
 
-use crate::reputation::ReputationMatrix;
-use mdrep_types::{SimDuration, UserId};
+use mdrep_types::SimDuration;
 use std::fmt;
 
 /// The service an uploader grants one request.
@@ -197,33 +196,11 @@ impl ServicePolicy {
             }
         }
     }
-
-    /// Decides service for `requester` as seen by `uploader`, scaling the
-    /// raw `RM` entry by the uploader's largest outgoing reputation so that
-    /// "my most trusted peer" always maps to `r = 1`.
-    #[must_use]
-    pub fn decide(
-        &self,
-        rm: &ReputationMatrix,
-        uploader: UserId,
-        requester: UserId,
-    ) -> ServiceDecision {
-        let raw = rm.reputation(uploader, requester);
-        let row_max = rm.row_max(uploader);
-        let r = if row_max > 0.0 { raw / row_max } else { 0.0 };
-        self.decide_scaled(r)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::Params;
-    use mdrep_matrix::SparseMatrix;
-
-    fn u(i: u64) -> UserId {
-        UserId::new(i)
-    }
 
     #[test]
     fn offset_grows_with_reputation() {
@@ -252,47 +229,6 @@ mod tests {
         let d = policy.decide_scaled(f64::NAN);
         assert_eq!(d.queue_offset, SimDuration::ZERO);
         assert!((d.bandwidth_fraction - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn decide_scales_by_row_maximum() {
-        let mut tm = SparseMatrix::new();
-        tm.set(u(0), u(1), 0.6).unwrap();
-        tm.set(u(0), u(2), 0.3).unwrap();
-        let rm = crate::reputation::ReputationMatrix::compute_csr(
-            mdrep_matrix::CsrMatrix::freeze(&tm),
-            &Params::default(),
-        );
-        let policy = ServicePolicy::default();
-
-        let best = policy.decide(&rm, u(0), u(1));
-        let half = policy.decide(&rm, u(0), u(2));
-        let stranger = policy.decide(&rm, u(0), u(9));
-
-        assert_eq!(
-            best.queue_offset,
-            policy.max_offset(),
-            "row max maps to r = 1"
-        );
-        assert_eq!(
-            half.queue_offset,
-            SimDuration::from_ticks(policy.max_offset().as_ticks() / 2)
-        );
-        assert_eq!(stranger.queue_offset, SimDuration::ZERO);
-        assert!(stranger.is_throttled());
-    }
-
-    #[test]
-    fn uploader_with_no_trust_throttles_everyone() {
-        let tm = SparseMatrix::new();
-        let rm = crate::reputation::ReputationMatrix::compute_csr(
-            mdrep_matrix::CsrMatrix::freeze(&tm),
-            &Params::default(),
-        );
-        let policy = ServicePolicy::default();
-        let d = policy.decide(&rm, u(0), u(1));
-        assert!(d.is_throttled());
-        assert_eq!(d.queue_offset, SimDuration::ZERO);
     }
 
     #[test]

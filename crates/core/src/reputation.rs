@@ -156,13 +156,6 @@ impl ReputationMatrix {
         }
         None
     }
-
-    /// Fraction of `(from, to)` request pairs with positive reputation —
-    /// the n-step generalization of the Figure 1 coverage metric.
-    #[must_use]
-    pub fn request_coverage(&self, requests: &[(UserId, UserId)]) -> f64 {
-        self.matrix().request_coverage(requests)
-    }
 }
 
 #[cfg(test)]
@@ -261,12 +254,10 @@ mod tests {
     }
 
     #[test]
-    fn row_max_and_coverage() {
+    fn row_max_reads_the_largest_entry() {
         let tm = chain();
         let rm = compute(&tm, &params(1));
         assert_eq!(rm.row_max(u(0)), 1.0);
         assert_eq!(rm.row_max(u(3)), 0.0, "no row means no mass");
-        let cov = rm.request_coverage(&[(u(0), u(1)), (u(0), u(2))]);
-        assert!((cov - 0.5).abs() < 1e-12);
     }
 }

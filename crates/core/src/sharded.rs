@@ -125,11 +125,22 @@ impl EngineEvent {
         }
     }
 
-    /// Converts a workload trace event (file sizes resolved through the
-    /// catalog, like `observe_trace_event`); `Join` events carry no
-    /// reputation signal and map to `None`.
+    /// Converts a workload trace event, file sizes resolved through the
+    /// catalog (see [`from_trace_with`](Self::from_trace_with)).
     #[must_use]
     pub fn from_trace(event: &TraceEvent, catalog: &Catalog) -> Option<Self> {
+        Self::from_trace_with(event, |file| catalog.file_meta(file).map(|m| m.size))
+    }
+
+    /// Converts a trace event, resolving file sizes through `size_of` (a
+    /// catalog, or a saved event log's size table). Unknown files fall
+    /// back to zero size, contributing no volume trust; `Join` events
+    /// carry no reputation signal and map to `None`.
+    #[must_use]
+    pub fn from_trace_with(
+        event: &TraceEvent,
+        size_of: impl Fn(FileId) -> Option<FileSize>,
+    ) -> Option<Self> {
         match event.kind {
             EventKind::Join { .. } => None,
             EventKind::Publish { user, file } => Some(Self::Publish {
@@ -146,7 +157,7 @@ impl EngineEvent {
                 downloader,
                 uploader,
                 file,
-                size: catalog.file_meta(file).map_or(FileSize::ZERO, |m| m.size),
+                size: size_of(file).unwrap_or(FileSize::ZERO),
             }),
             EventKind::Vote { user, file, value } => Some(Self::Vote {
                 time: event.time,
@@ -446,14 +457,14 @@ impl ShardedEngine {
 
     fn epoch_inner(&self, now: SimTime, force_full: bool) -> u64 {
         let obs = mdrep_obs::global();
-        let _span = obs.span("engine.sharded.epoch_total");
+        let _epoch = mdrep_obs::phase("engine.sharded.epoch_total");
         let events = {
-            let _drain = obs.span("engine.sharded.drain");
+            let _drain = mdrep_obs::phase("engine.sharded.drain");
             self.drain()
         };
         let mut engine = self.master.lock().expect("master lock poisoned");
         {
-            let _apply = obs.span("engine.sharded.apply");
+            let _apply = mdrep_obs::phase("engine.sharded.apply");
             for (_, event) in &events {
                 event.apply_to(&mut engine);
             }
@@ -472,26 +483,19 @@ impl ShardedEngine {
             "engine.sharded.snapshot_bytes",
             engine.last_publish_bytes() as f64,
         );
-        // Epoch assignment and the cheap copy-on-write part clones happen
-        // under the master lock (so epoch order equals engine-state order);
-        // the snapshot itself is assembled and published after the lock is
-        // dropped. `O(dirty rows)` under the lock, not `O(nnz)`.
-        let epoch = self.epoch_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let (params, components, rm, punished) = engine.snapshot_parts();
-        drop(engine);
-        let snapshot = {
-            let _publish = obs.span("engine.sharded.publish");
-            Arc::new(EngineSnapshot::new(
-                epoch, now, params, components, rm, punished,
-            ))
-        };
-        self.publish(snapshot);
-        epoch
+        let _publish = mdrep_obs::phase("engine.sharded.publish");
+        self.republish(engine, now)
     }
 
-    /// Publishes through the cell's monotonic install, counting skipped
-    /// (raced-and-lost) publications.
-    fn publish(&self, snapshot: Arc<EngineSnapshot>) {
+    /// Publishes the master engine's computed state under the next epoch.
+    /// The epoch is assigned and the copy-on-write snapshot taken under the
+    /// master lock, so epoch order equals engine-state order — `O(dirty
+    /// rows)` under the lock, not `O(nnz)`; the lock is dropped before the
+    /// cell install. Skipped (raced-and-lost) publications are counted.
+    fn republish(&self, engine: MutexGuard<'_, ReputationEngine>, now: SimTime) -> u64 {
+        let epoch = self.epoch_seq.fetch_add(1, Ordering::Relaxed) + 1;
+        let snapshot = Arc::new(engine.snapshot_at(epoch, now));
+        drop(engine);
         let obs = mdrep_obs::global();
         if self.cell.publish(snapshot) {
             obs.counter_inc("engine.sharded.epochs");
@@ -501,6 +505,7 @@ impl ShardedEngine {
             // master lock), so dropping the stale one is lossless.
             obs.counter_inc("engine.sharded.publish_skipped");
         }
+        epoch
     }
 
     /// Expires old evaluations on the master engine (takes effect in the
@@ -518,13 +523,7 @@ impl ShardedEngine {
     pub fn mark_punished(&self, user: UserId, now: SimTime) -> u64 {
         let mut engine = self.master.lock().expect("master lock poisoned");
         engine.mark_punished(user);
-        let epoch = self.epoch_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let (params, components, rm, punished) = engine.snapshot_parts();
-        drop(engine);
-        self.publish(Arc::new(EngineSnapshot::new(
-            epoch, now, params, components, rm, punished,
-        )));
-        epoch
+        self.republish(engine, now)
     }
 
     /// Lifts a punishment and republishes (see
@@ -532,13 +531,7 @@ impl ShardedEngine {
     pub fn pardon(&self, user: UserId, now: SimTime) -> u64 {
         let mut engine = self.master.lock().expect("master lock poisoned");
         engine.pardon(user);
-        let epoch = self.epoch_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let (params, components, rm, punished) = engine.snapshot_parts();
-        drop(engine);
-        self.publish(Arc::new(EngineSnapshot::new(
-            epoch, now, params, components, rm, punished,
-        )));
-        epoch
+        self.republish(engine, now)
     }
 
     /// The currently published snapshot (brief read lock; prefer a

@@ -1,6 +1,14 @@
 //! Immutable epoch snapshots of the engine's computed state, and the
 //! lock-free publication cell readers subscribe to.
 //!
+//! [`EngineSnapshot`] is the one read path: every reputation read — `RM`,
+//! the Equation 9 verdict and its batch, the punished-owner filter, the
+//! row-max-scaled relative reputation, service differentiation and
+//! request coverage — is written once, here. A
+//! [`ReputationEngine`](crate::ReputationEngine) keeps its computed state
+//! as a snapshot and delegates its reads to it; publishing an epoch is a
+//! restamped clone of that state.
+//!
 //! The sharded engine separates *ingest* (per-shard event queues), *compute*
 //! (one recompute at a time over the master state), and *reads* (Equation 9
 //! queries, incentive decisions, DHT serving). Reads never touch mutable
@@ -29,11 +37,13 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-/// One recompute epoch's published, immutable state.
+/// The engine's computed state: `RM`, the one-step components and the
+/// punished set, stamped with an epoch.
 ///
-/// All query methods mirror [`ReputationEngine`](crate::ReputationEngine)'s
-/// read API and are `&self` over immutable data — safe to call from any
-/// number of threads concurrently.
+/// Every read query is `&self` over immutable data — safe to call from
+/// any number of threads concurrently. A published snapshot is never
+/// mutated; only the engine's own working copy is, by its recompute and
+/// its punish/pardon calls.
 #[derive(Debug, Clone)]
 pub struct EngineSnapshot {
     epoch: u64,
@@ -59,21 +69,35 @@ impl EngineSnapshot {
         }
     }
 
-    pub(crate) fn new(
-        epoch: u64,
-        as_of: SimTime,
-        params: Params,
-        components: Option<TrustComponents>,
-        rm: Option<ReputationMatrix>,
-        punished: HashSet<UserId>,
-    ) -> Self {
+    /// A copy of this state stamped with `epoch` and `as_of`. Cheap: the
+    /// frozen CSR arrays are `Arc`-shared, so the clone costs the overlay
+    /// pointer maps and the punished set — `O(dirty rows)`, not `O(nnz)`.
+    pub(crate) fn restamped(&self, epoch: u64, as_of: SimTime) -> Self {
         Self {
             epoch,
             as_of,
-            params,
-            components,
-            rm,
-            punished,
+            ..self.clone()
+        }
+    }
+
+    /// Moves the matrices out for a dirty-row rebuild to patch; `None`
+    /// before the first recompute.
+    pub(crate) fn take_matrices(&mut self) -> Option<(TrustComponents, ReputationMatrix)> {
+        self.components.take().zip(self.rm.take())
+    }
+
+    /// Installs a recompute's matrices.
+    pub(crate) fn set_matrices(&mut self, components: TrustComponents, rm: ReputationMatrix) {
+        self.components = Some(components);
+        self.rm = Some(rm);
+    }
+
+    /// Punishes (`true`) or pardons (`false`) `user`.
+    pub(crate) fn set_punished(&mut self, user: UserId, punished: bool) {
+        if punished {
+            self.punished.insert(user);
+        } else {
+            self.punished.remove(&user);
         }
     }
 
@@ -113,9 +137,9 @@ impl EngineSnapshot {
         self.punished.contains(&user)
     }
 
-    /// `RM_ij` (0 before the first epoch, for unknown pairs, and for
-    /// punished targets) — the lock-free counterpart of
-    /// [`ReputationEngine::reputation`](crate::ReputationEngine::reputation).
+    /// `RM_ij`; 0 before the first recompute, for unknown pairs, and for
+    /// punished targets — a punished forger's reputation reads as zero
+    /// everywhere (Section 4.2, attack 3).
     #[must_use]
     pub fn reputation(&self, i: UserId, j: UserId) -> f64 {
         if self.punished.contains(&j) {
@@ -125,7 +149,9 @@ impl EngineSnapshot {
     }
 
     /// [`reputation`](Self::reputation) rescaled so `i`'s most-trusted peer
-    /// maps to 1 — the service-differentiation input.
+    /// maps to 1 — the service-differentiation input. `RM` rows are
+    /// (sub)stochastic, so a well-connected viewer's raw entries are
+    /// individually small.
     #[must_use]
     pub fn relative_reputation(&self, i: UserId, j: UserId) -> f64 {
         let raw = self.reputation(i, j);
@@ -141,7 +167,8 @@ impl EngineSnapshot {
     }
 
     /// Equation 9 for `viewer` over the supplied owner evaluations,
-    /// punished owners discarded.
+    /// punished owners discarded. `None` before the first recompute or
+    /// when no remaining owner is reputable.
     #[must_use]
     pub fn file_reputation(
         &self,
@@ -155,6 +182,8 @@ impl EngineSnapshot {
     }
 
     /// Batched Equation 9: one file's owner set scored by a viewer panel.
+    /// Punished owners are discarded once for the whole batch; each entry
+    /// matches [`file_reputation`](Self::file_reputation) for that viewer.
     #[must_use]
     pub fn file_reputation_batch(
         &self,
@@ -182,7 +211,10 @@ impl EngineSnapshot {
         }
     }
 
-    /// The service `uploader` grants `requester` under `policy`.
+    /// The service `uploader` grants `requester` under `policy`, from the
+    /// [relative reputation](Self::relative_reputation): the uploader's
+    /// most-trusted peer gets the full queue offset, strangers and
+    /// punished requesters stranger-level service.
     #[must_use]
     pub fn service(
         &self,
@@ -190,13 +222,13 @@ impl EngineSnapshot {
         requester: UserId,
         policy: &ServicePolicy,
     ) -> ServiceDecision {
-        match &self.rm {
-            None => policy.decide_scaled(0.0),
-            Some(rm) => policy.decide(rm, uploader, requester),
-        }
+        policy.decide_scaled(self.relative_reputation(uploader, requester))
     }
 
-    /// Tier-based service (punished requesters are strangers).
+    /// Tier-based service (the multi-tier incentive scheme): which trust
+    /// tier `requester` falls into for `uploader` decides the band, the
+    /// in-tier value the position inside it. Punished requesters are
+    /// strangers.
     #[must_use]
     pub fn service_tiered(
         &self,
@@ -205,18 +237,26 @@ impl EngineSnapshot {
         policy: &ServicePolicy,
     ) -> ServiceDecision {
         match &self.rm {
-            _ if self.punished.contains(&requester) => policy.decide_scaled(0.0),
-            None => policy.decide_scaled(0.0),
-            Some(rm) => policy.decide_tiered(rm.tier_of(uploader, requester), rm.steps().max(1)),
+            Some(rm) if !self.punished.contains(&requester) => {
+                policy.decide_tiered(rm.tier_of(uploader, requester), rm.steps().max(1))
+            }
+            _ => policy.decide_scaled(0.0),
         }
     }
 
-    /// Figure 1 request coverage over this epoch's `RM`.
+    /// Figure 1 metric: the fraction of `(from, to)` request pairs with
+    /// positive [`reputation`](Self::reputation) (punished targets are
+    /// uncovered). 0.0 for no pairs and before the first recompute.
     #[must_use]
     pub fn request_coverage(&self, requests: &[(UserId, UserId)]) -> f64 {
-        self.rm
-            .as_ref()
-            .map_or(0.0, |rm| rm.request_coverage(requests))
+        if requests.is_empty() {
+            return 0.0;
+        }
+        let covered = requests
+            .iter()
+            .filter(|&&(i, j)| self.reputation(i, j) > 0.0)
+            .count();
+        covered as f64 / requests.len() as f64
     }
 
     /// FNV-1a digest over the epoch stamp and every `RM` entry's exact bit
@@ -371,9 +411,25 @@ impl SnapshotReader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdrep_matrix::{CsrMatrix, SparseMatrix};
+    use mdrep_types::SimDuration;
 
     fn u(i: u64) -> UserId {
         UserId::new(i)
+    }
+
+    /// A snapshot whose `RM` is the one-step matrix with these entries.
+    fn serving(entries: &[(u64, u64, f64)]) -> EngineSnapshot {
+        let mut tm = SparseMatrix::new();
+        for &(i, j, v) in entries {
+            tm.set(u(i), u(j), v).unwrap();
+        }
+        let mut snap = EngineSnapshot::empty(Params::default());
+        snap.rm = Some(ReputationMatrix::compute_csr(
+            CsrMatrix::freeze(&tm),
+            &Params::default(),
+        ));
+        snap
     }
 
     #[test]
@@ -393,20 +449,43 @@ mod tests {
     }
 
     #[test]
+    fn service_scales_by_row_maximum() {
+        let snap = serving(&[(0, 1, 0.6), (0, 2, 0.3)]);
+        let policy = ServicePolicy::default();
+
+        let best = snap.service(u(0), u(1), &policy);
+        let half = snap.service(u(0), u(2), &policy);
+        let stranger = snap.service(u(0), u(9), &policy);
+
+        assert_eq!(
+            best.queue_offset,
+            policy.max_offset(),
+            "row max maps to r = 1"
+        );
+        assert_eq!(
+            half.queue_offset,
+            SimDuration::from_ticks(policy.max_offset().as_ticks() / 2)
+        );
+        assert_eq!(stranger.queue_offset, SimDuration::ZERO);
+        assert!(stranger.is_throttled());
+        assert_eq!(snap.request_coverage(&[(u(0), u(1)), (u(0), u(9))]), 0.5);
+    }
+
+    #[test]
+    fn uploader_with_no_trust_throttles_everyone() {
+        let d = serving(&[]).service(u(0), u(1), &ServicePolicy::default());
+        assert!(d.is_throttled());
+        assert_eq!(d.queue_offset, SimDuration::ZERO);
+    }
+
+    #[test]
     fn cell_publish_flips_epoch_and_slot() {
         let cell = SnapshotCell::new(Params::default());
         assert_eq!(cell.epoch(), 0);
         let mut reader = cell.reader();
         assert_eq!(reader.current().epoch(), 0);
 
-        let next = Arc::new(EngineSnapshot::new(
-            7,
-            SimTime::ZERO,
-            Params::default(),
-            None,
-            None,
-            HashSet::new(),
-        ));
+        let next = Arc::new(EngineSnapshot::empty(Params::default()).restamped(7, SimTime::ZERO));
         cell.publish(Arc::clone(&next));
         assert_eq!(cell.epoch(), 7);
         assert_eq!(reader.cached_epoch(), 0, "not yet revalidated");
@@ -417,14 +496,7 @@ mod tests {
     #[test]
     fn digest_distinguishes_epochs() {
         let a = EngineSnapshot::empty(Params::default());
-        let b = EngineSnapshot::new(
-            1,
-            SimTime::ZERO,
-            Params::default(),
-            None,
-            None,
-            HashSet::new(),
-        );
+        let b = a.restamped(1, SimTime::ZERO);
         assert_ne!(a.digest(), b.digest());
         assert_eq!(a.digest(), a.clone().digest());
     }

@@ -132,32 +132,6 @@ impl RetrievalOutcome {
     pub fn valid_records(&self) -> impl Iterator<Item = &VerifiedEvaluation> {
         self.records.iter().filter(|r| r.valid)
     }
-
-    /// The valid records ordered by the requester's view of each owner's
-    /// reputation, most-trusted first (ties broken by owner id, so the
-    /// order is deterministic).
-    ///
-    /// `reputation` is a read-only view — typically a closure over an
-    /// engine snapshot (`|owner| snap.reputation(viewer, owner)`), so the
-    /// DHT layer serves reputation-ranked owner lists without depending on
-    /// the reputation crate and without blocking a recompute: the whole
-    /// ranking reads one published epoch.
-    #[must_use]
-    pub fn ranked_records(
-        &self,
-        reputation: impl Fn(UserId) -> f64,
-    ) -> Vec<(f64, &VerifiedEvaluation)> {
-        let mut ranked: Vec<(f64, &VerifiedEvaluation)> = self
-            .valid_records()
-            .map(|r| (reputation(r.info.owner), r))
-            .collect();
-        ranked.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.1.info.owner.cmp(&b.1.info.owner))
-        });
-        ranked
-    }
 }
 
 /// Publishes and retrieves evaluation records through a [`Dht`], enforcing
@@ -278,33 +252,6 @@ impl EvaluationPublisher {
             retries: got.retries,
             undecodable,
         })
-    }
-
-    /// Fig. 2 step 3, reputation-ranked: retrieves `file`'s evaluation
-    /// array and returns the valid records ordered by the requester's view
-    /// of each owner (most-trusted first), alongside the degradation
-    /// report. `reputation` is typically a closure over a published engine
-    /// snapshot, so the ranking is consistent with exactly one epoch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DhtError`] from the underlying lookup.
-    pub fn retrieve_ranked(
-        &self,
-        dht: &mut Dht,
-        registry: &KeyRegistry,
-        requester: UserId,
-        file: FileId,
-        now: SimTime,
-        reputation: impl Fn(UserId) -> f64,
-    ) -> Result<(Vec<(f64, VerifiedEvaluation)>, RetrievalOutcome), DhtError> {
-        let outcome = self.retrieve_detailed(dht, registry, requester, file, now)?;
-        let ranked = outcome
-            .ranked_records(reputation)
-            .into_iter()
-            .map(|(score, r)| (score, r.clone()))
-            .collect();
-        Ok((ranked, outcome))
     }
 }
 
@@ -468,41 +415,6 @@ mod tests {
             "the tampered value surfaced as undecodable or invalid"
         );
         assert!(dht.fault_trace().tampered > 0);
-    }
-
-    #[test]
-    fn ranked_retrieval_orders_by_reputation_view() {
-        let (mut dht, registry) = setup(20);
-        let publisher = EvaluationPublisher::new();
-        for i in 1..5 {
-            let key = registry.key_of(u(i)).unwrap().clone();
-            publisher
-                .publish(&mut dht, &key, u(i), f(5), Evaluation::BEST, SimTime::ZERO)
-                .unwrap();
-        }
-        // The requester trusts owner 3 most, then 1; 2 and 4 tie at zero
-        // and fall back to id order.
-        let view = |owner: UserId| match owner.as_u64() {
-            3 => 0.9,
-            1 => 0.4,
-            _ => 0.0,
-        };
-        let (ranked, outcome) = publisher
-            .retrieve_ranked(&mut dht, &registry, u(9), f(5), SimTime::ZERO, view)
-            .unwrap();
-        assert!(outcome.is_complete());
-        let owners: Vec<u64> = ranked.iter().map(|(_, r)| r.info.owner.as_u64()).collect();
-        assert_eq!(owners, vec![3, 1, 2, 4]);
-        assert_eq!(ranked[0].0, 0.9);
-        // Invalid records never enter the ranking.
-        let key2 = registry.key_of(u(2)).unwrap().clone();
-        let forged = EvaluationInfo::signed(f(5), u(7), Evaluation::BEST, &key2);
-        dht.store(u(2), Key::for_file(f(5)), forged.encode(), SimTime::ZERO)
-            .unwrap();
-        let (ranked, _) = publisher
-            .retrieve_ranked(&mut dht, &registry, u(9), f(5), SimTime::ZERO, view)
-            .unwrap();
-        assert!(ranked.iter().all(|(_, r)| r.info.owner.as_u64() != 7));
     }
 
     #[test]

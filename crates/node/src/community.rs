@@ -336,15 +336,15 @@ impl Community {
             .copied()
             .unwrap_or(FileSize::ZERO);
         let uploader_peer = self.peers.get(&uploader).expect("holder is a peer");
-        let relative = relative_reputation(uploader_peer.engine(), uploader, downloader);
+        let engine = uploader_peer.engine();
         let service = if self.config.contribution_weight > 0.0 {
             self.config.policy.decide_with_contribution(
-                relative,
+                engine.relative_reputation(uploader, downloader),
                 uploader_peer.ledger().score(downloader),
                 self.config.contribution_weight,
             )
         } else {
-            self.config.policy.decide_scaled(relative)
+            engine.service(uploader, downloader, &self.config.policy)
         };
 
         // The transfer happens: both sides record it.
@@ -468,23 +468,6 @@ impl Community {
             .publish(&mut self.dht, &key, user, file, evaluation, now)
             .map(|_| ())
             .map_err(CommunityError::from)
-    }
-}
-
-/// Row-max-scaled reputation (the same scaling the simulator applies).
-fn relative_reputation(engine: &ReputationEngine, viewer: UserId, target: UserId) -> f64 {
-    let raw = engine.reputation(viewer, target);
-    if raw == 0.0 {
-        return 0.0;
-    }
-    let row_max = engine
-        .reputation_matrix()
-        .map(|rm| rm.row_max(viewer))
-        .unwrap_or(0.0);
-    if row_max > 0.0 {
-        raw / row_max
-    } else {
-        0.0
     }
 }
 

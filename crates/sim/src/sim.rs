@@ -84,7 +84,7 @@ impl<S: ReputationSystem> Simulation<S> {
     #[must_use]
     pub fn run_into_system(mut self, trace: &Trace) -> (SimReport, S) {
         let obs = mdrep_obs::global();
-        let _run_span = obs.span("sim.run.total");
+        let _run = mdrep_obs::phase("sim.run.total");
         let wall_start = std::time::Instant::now();
         let mut report = SimReport {
             system: self.system.name(),

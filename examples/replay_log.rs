@@ -5,8 +5,8 @@
 //!
 //! Run with: `cargo run --example replay_log`
 
-use mdrep_repro::core::{Params, ReputationEngine};
-use mdrep_repro::types::{FileSize, SimDuration, SimTime};
+use mdrep_repro::core::{EngineEvent, Params, ReputationEngine};
+use mdrep_repro::types::{SimDuration, SimTime};
 use mdrep_repro::workload::{BehaviorMix, EventKind, EventLog, TraceBuilder, WorkloadConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,32 +36,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(parsed, log);
     let sizes = parsed.size_table();
 
-    // 3. Replay into a fresh engine through the granular observation API.
+    // 3. Replay into a fresh engine, sizes from the log's own table.
     let mut engine = ReputationEngine::new(Params::default());
     for event in parsed.events() {
-        match event.kind {
-            EventKind::Join { .. } => {}
-            EventKind::Publish { user, file } => engine.observe_publish(event.time, user, file),
-            EventKind::Download {
-                downloader,
-                uploader,
-                file,
-            } => {
-                let size = sizes.get(&file).copied().unwrap_or(FileSize::ZERO);
-                engine.observe_download(event.time, downloader, uploader, file, size);
-            }
-            EventKind::Vote { user, file, value } => {
-                engine.observe_vote(event.time, user, file, value);
-            }
-            EventKind::Delete { user, file } => engine.observe_delete(event.time, user, file),
-            EventKind::RankUser {
-                rater,
-                target,
-                value,
-            } => {
-                engine.observe_rank(rater, target, value);
-            }
-            EventKind::Whitewash { user } => engine.observe_whitewash(user),
+        if let Some(event) = EngineEvent::from_trace_with(event, |file| sizes.get(&file).copied()) {
+            event.apply_to(&mut engine);
         }
     }
     let end = SimTime::ZERO + SimDuration::from_days(3);

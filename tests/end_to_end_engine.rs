@@ -1,7 +1,10 @@
 //! End-to-end: synthetic trace → reputation engine → every query the
 //! paper defines, checked against the trace's ground truth.
 
-use mdrep_repro::core::{OwnerEvaluation, Params, ReputationEngine, ServicePolicy};
+use mdrep_repro::baselines::{MultiDimensional, ReputationSystem};
+use mdrep_repro::core::{
+    OwnerEvaluation, Params, ReputationEngine, ServiceDecision, ServicePolicy, ShardedEngine,
+};
 use mdrep_repro::types::{Evaluation, SimDuration, SimTime, UserId};
 use mdrep_repro::workload::{Behavior, BehaviorMix, Trace, TraceBuilder, WorkloadConfig};
 
@@ -214,4 +217,90 @@ fn published_evaluations_are_consistent_with_queries() {
         assert_eq!(direct, value);
         assert!(value >= Evaluation::WORST && value <= Evaluation::BEST);
     }
+}
+
+/// What one read path answers for a pair: `service`, `service_tiered`,
+/// `relative_reputation` and the pair's `request_coverage`.
+#[derive(Debug, PartialEq)]
+struct PairReads {
+    service: ServiceDecision,
+    tiered: ServiceDecision,
+    relative: f64,
+    coverage: f64,
+}
+
+/// The reads of `(uploader, requester)` on anything with the engine's read
+/// API (the engine and its snapshots).
+macro_rules! pair_reads {
+    ($reader:expr, $uploader:expr, $requester:expr, $policy:expr) => {
+        PairReads {
+            service: $reader.service($uploader, $requester, $policy),
+            tiered: $reader.service_tiered($uploader, $requester, $policy),
+            relative: $reader.relative_reputation($uploader, $requester),
+            coverage: $reader.request_coverage(&[($uploader, $requester)]),
+        }
+    };
+}
+
+#[test]
+fn punishment_reads_the_same_on_every_path() {
+    let (_, engine, end) = build();
+    let policy = ServicePolicy::default();
+    // `a` and the peer it trusts most, `b`: full service until punished.
+    let rm = engine.reputation_matrix().expect("computed");
+    let a = *rm.matrix().row_ids().first().expect("non-empty matrix");
+    let b = rm
+        .matrix()
+        .row_entries(a)
+        .filter(|&(u, _)| u != a)
+        .max_by(|x, y| x.1.total_cmp(&y.1))
+        .map(|(u, _)| u)
+        .expect("a trusts someone");
+    let stranger_id = UserId::new(999_999);
+    let stranger = pair_reads!(engine, a, stranger_id, &policy);
+    assert_eq!(stranger.relative, 0.0);
+    let trusted = pair_reads!(engine, a, b, &policy);
+    assert_eq!(trusted.relative, 1.0, "b is a's most-trusted peer");
+    assert_eq!(trusted.coverage, 1.0);
+    assert_ne!(trusted.service, stranger.service);
+    assert_ne!(trusted.tiered, stranger.tiered);
+
+    let mut punished = engine.clone();
+    punished.mark_punished(b);
+    let sharded = ShardedEngine::from_engine(engine, 2);
+    sharded.mark_punished(b, end);
+    let md = MultiDimensional::from_engine(punished.clone());
+    let through_trait = PairReads {
+        // The simulator's service path: the trait's relative reputation.
+        service: policy.decide_scaled(md.relative_reputation(a, b)),
+        tiered: md.engine().service_tiered(a, b, &policy),
+        relative: md.relative_reputation(a, b),
+        coverage: md.request_coverage(&[(a, b)]),
+    };
+    let paths = [
+        ("engine", pair_reads!(punished, a, b, &policy)),
+        (
+            "engine snapshot",
+            pair_reads!(punished.snapshot_at(1, end), a, b, &policy),
+        ),
+        (
+            "sharded snapshot",
+            pair_reads!(sharded.snapshot(), a, b, &policy),
+        ),
+        ("ReputationSystem", through_trait),
+    ];
+    for (path, reads) in paths {
+        assert_eq!(
+            reads, stranger,
+            "{path}: a punished peer reads as a stranger"
+        );
+    }
+    assert_eq!(punished.reputation(a, b), 0.0);
+
+    punished.pardon(b);
+    assert_eq!(
+        pair_reads!(punished, a, b, &policy),
+        trusted,
+        "pardon restores"
+    );
 }

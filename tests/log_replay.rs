@@ -1,9 +1,9 @@
 //! The event-log path is equivalent to the direct path: an engine fed from
 //! a parsed log answers identically to one fed from the original trace.
 
-use mdrep_repro::core::{Params, ReputationEngine};
-use mdrep_repro::types::{FileSize, SimDuration, SimTime, UserId};
-use mdrep_repro::workload::{BehaviorMix, EventKind, EventLog, TraceBuilder, WorkloadConfig};
+use mdrep_repro::core::{EngineEvent, Params, ReputationEngine};
+use mdrep_repro::types::{SimDuration, SimTime, UserId};
+use mdrep_repro::workload::{BehaviorMix, EventLog, TraceBuilder, WorkloadConfig};
 
 #[test]
 fn log_replay_is_equivalent_to_direct_feeding() {
@@ -34,31 +34,8 @@ fn log_replay_is_equivalent_to_direct_feeding() {
     let sizes = parsed.size_table();
     let mut replayed = ReputationEngine::new(Params::default());
     for event in parsed.events() {
-        match event.kind {
-            EventKind::Join { .. } => {}
-            EventKind::Publish { user, file } => {
-                replayed.observe_publish(event.time, user, file);
-            }
-            EventKind::Download {
-                downloader,
-                uploader,
-                file,
-            } => {
-                let size = sizes.get(&file).copied().unwrap_or(FileSize::ZERO);
-                replayed.observe_download(event.time, downloader, uploader, file, size);
-            }
-            EventKind::Vote { user, file, value } => {
-                replayed.observe_vote(event.time, user, file, value);
-            }
-            EventKind::Delete { user, file } => replayed.observe_delete(event.time, user, file),
-            EventKind::RankUser {
-                rater,
-                target,
-                value,
-            } => {
-                replayed.observe_rank(rater, target, value);
-            }
-            EventKind::Whitewash { user } => replayed.observe_whitewash(user),
+        if let Some(event) = EngineEvent::from_trace_with(event, |file| sizes.get(&file).copied()) {
+            event.apply_to(&mut replayed);
         }
     }
     replayed.recompute(end);
