@@ -462,8 +462,8 @@ impl ReputationEngine {
                 RecomputeMode::FallbackFull => "fallback_full",
             },
         );
-        epoch.annotate("dirty_rows", self.last_dirty_rows.to_string());
-        epoch.annotate("sim_time_ticks", now.as_ticks().to_string());
+        epoch.annotate("dirty_rows", self.last_dirty_rows);
+        epoch.annotate("sim_time_ticks", now.as_ticks());
         self.rebuild(now, mode);
         obs.counter_inc(match mode {
             RecomputeMode::Full => "engine.recompute.mode.full",

@@ -39,12 +39,10 @@ impl HmacSha256 {
         }
 
         let mut inner = Sha256::new();
-        let ipad: Vec<u8> = key_block.iter().map(|b| b ^ IPAD).collect();
-        inner.update(&ipad);
+        inner.update(&key_block.map(|b| b ^ IPAD));
 
         let mut outer = Sha256::new();
-        let opad: Vec<u8> = key_block.iter().map(|b| b ^ OPAD).collect();
-        outer.update(&opad);
+        outer.update(&key_block.map(|b| b ^ OPAD));
 
         Self { inner, outer }
     }

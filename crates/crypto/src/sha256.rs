@@ -231,14 +231,16 @@ impl Sha256 {
     #[must_use]
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros, then the 64-bit big-endian bit length —
+        // in a second block when the first has no room for the length.
+        let mut block = self.buf;
+        block[self.buf_len] = 0x80;
+        block[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            self.compress(&block);
+            block = [0; 64];
         }
-        // Manual append of the length: bypass update()'s length accounting.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
 
         let mut out = [0u8; 32];
@@ -378,6 +380,46 @@ ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
             let d2 = Sha256::digest(&data);
             assert_eq!(d1, d2);
             assert!(seen.insert(d1.into_bytes()), "collision at length {len}");
+        }
+    }
+
+    #[test]
+    fn padding_boundary_known_answers() {
+        // 0x5a repeated: either side of the point where the length no
+        // longer fits the last block (55/56) and of the block edges.
+        let cases: &[(usize, &str)] = &[
+            (
+                55,
+                "5f25f149aa92e3e13093aed8216072fae623f35e26ca605b6cce17e04b7ccf44",
+            ),
+            (
+                56,
+                "301c69927f1603720c9f847b7e5e3bef77a7b9f75344490fe9039f13c36b842a",
+            ),
+            (
+                57,
+                "30ab35131f9b368e840dc65fc1eb832706e748e3c5e44ec40bc19cd1ce5c0dc2",
+            ),
+            (
+                63,
+                "939765b120205cbedae2ed31256b1967c38b6bdd9b0220535224cbc0b906d333",
+            ),
+            (
+                64,
+                "cc7321cce5e4409bd8077d58422e1214969059bbd40b4eeb0de0a642f40f7282",
+            ),
+            (
+                119,
+                "a96851d641310ce032ff832b6f08125878deed2a825fe515dd1ba414afe95f7e",
+            ),
+            (
+                120,
+                "60ec7f280e45d0c7bf77b70ff16958b1c1701a9fb7faa12b798207cf120ec6ee",
+            ),
+        ];
+        for (len, expected) in cases {
+            let data = vec![0x5a_u8; *len];
+            assert_eq!(&Sha256::digest(&data).to_hex(), expected, "length {len}");
         }
     }
 

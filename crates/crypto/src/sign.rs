@@ -53,9 +53,16 @@ impl fmt::Debug for Signature {
 /// assert!(key.verify(b"payload", &sig));
 /// assert!(!key.verify(b"payload!", &sig));
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+///
+/// A key keeps its HMAC state with the key pads and the signature domain
+/// already absorbed, so signing and verifying hash only the message. That
+/// state is as good as the secret for forging signatures: it never leaves
+/// the key, and `Debug` shows neither.
+#[derive(Clone)]
 pub struct SigningKey {
     secret: [u8; 32],
+    /// `HMAC(secret, SIGN_DOMAIN ‖ ·)` before the message.
+    keyed: HmacSha256,
 }
 
 impl SigningKey {
@@ -65,16 +72,16 @@ impl SigningKey {
         let mut h = Sha256::new();
         h.update(b"mdrep/signing-key/v1");
         h.update(&seed.to_be_bytes());
-        Self {
-            secret: h.finalize().into_bytes(),
-        }
+        let secret = h.finalize().into_bytes();
+        let mut keyed = HmacSha256::new(&secret);
+        keyed.update(SIGN_DOMAIN);
+        Self { secret, keyed }
     }
 
     /// Signs a message.
     #[must_use]
     pub fn sign(&self, message: &[u8]) -> Signature {
-        let mut mac = HmacSha256::new(&self.secret);
-        mac.update(SIGN_DOMAIN);
+        let mut mac = self.keyed.clone();
         mac.update(message);
         Signature(mac.finalize().into_bytes())
     }
@@ -92,6 +99,16 @@ impl SigningKey {
         diff == 0
     }
 }
+
+/// Keys are equal when their secrets are; the keyed state follows from the
+/// secret.
+impl PartialEq for SigningKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.secret == other.secret
+    }
+}
+
+impl Eq for SigningKey {}
 
 impl fmt::Debug for SigningKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -243,5 +260,43 @@ mod tests {
     fn debug_does_not_leak_key() {
         let key = SigningKey::from_seed(9);
         assert_eq!(format!("{key:?}"), "SigningKey(…)");
+    }
+
+    #[test]
+    fn keyed_state_signs_like_a_fresh_mac() {
+        // The inner hash buffers the 29-byte domain and the message after
+        // its key-pad block: its length field stops fitting the last block
+        // at 27 and 91 message bytes, and blocks fill at 35 and 99. Both
+        // sides of each, plus the block-size lengths of the message alone.
+        assert_eq!(SIGN_DOMAIN.len(), 29);
+        let key = SigningKey::from_seed(3);
+        let lengths = [
+            0, 23, 24, 26, 27, 34, 35, 36, 55, 56, 63, 64, 65, 90, 91, 99, 100, 119, 200,
+        ];
+        for len in lengths {
+            let message: Vec<u8> = (0..len).map(|i| (i * 7 + 1) as u8).collect();
+            let fresh = HmacSha256::mac(&key.secret, &[SIGN_DOMAIN, &message].concat());
+            assert_eq!(key.sign(&message).as_bytes(), fresh.as_bytes(), "len {len}");
+            assert!(key.verify(&message, &key.sign(&message)));
+        }
+    }
+
+    #[test]
+    fn debug_never_shows_the_keyed_state() {
+        // The pad states' words, as the HMAC context's own Debug prints
+        // them: any of them in a key's or registry's Debug is a leak.
+        let mut registry = KeyRegistry::new();
+        let key = registry.register(UserId::new(4), 77);
+        let state = format!("{:?}", key.keyed);
+        let words: Vec<&str> = state
+            .split(|c: char| !c.is_ascii_digit())
+            .filter(|w| w.len() >= 6)
+            .collect();
+        assert!(words.len() >= 8, "state words found: {words:?}");
+        for shown in [format!("{registry:?}"), format!("{key:?}")] {
+            for word in &words {
+                assert!(!shown.contains(word), "{shown} leaks {word}");
+            }
+        }
     }
 }

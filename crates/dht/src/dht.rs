@@ -2,7 +2,7 @@
 //! republication, churn, fault injection, and message accounting.
 
 use crate::fault::{FaultInjector, FaultPlan, FaultTrace, RetryPolicy, RpcKind, RpcOutcome};
-use crate::id::{Key, NodeId};
+use crate::id::{DistanceKey, Key, NodeId};
 use crate::node::{Node, StoredValue};
 use mdrep_types::{SimDuration, SimTime, UserId};
 use std::collections::{BTreeSet, HashMap};
@@ -199,10 +199,11 @@ struct RpcResult {
 }
 
 /// What an iterative lookup discovered: the closest responsive nodes and
-/// the queried nodes that never answered (both nearest-first).
+/// the queried nodes that never answered (both nearest-first, each with
+/// its distance to the key).
 struct LookupResult {
-    alive: Vec<NodeId>,
-    failed: Vec<NodeId>,
+    alive: Vec<(DistanceKey, NodeId)>,
+    failed: Vec<(DistanceKey, NodeId)>,
 }
 
 /// The whole simulated overlay.
@@ -214,6 +215,11 @@ pub struct Dht {
     injector: FaultInjector,
     nodes: HashMap<NodeId, Node>,
     by_user: HashMap<UserId, NodeId>,
+    /// The online users, ascending: the one record of who is online, and
+    /// the gossip fan-out pool, read without scanning `nodes`.
+    online_users: Vec<UserId>,
+    /// The online nodes' ids, ascending (the join bootstrap is the first).
+    online_ids: BTreeSet<NodeId>,
     /// What each user has published, for republication (at most one entry
     /// per key; re-stores replace).
     publications: HashMap<UserId, Vec<(Key, Vec<u8>)>>,
@@ -242,6 +248,8 @@ impl Dht {
             config,
             nodes: HashMap::new(),
             by_user: HashMap::new(),
+            online_users: Vec::new(),
+            online_ids: BTreeSet::new(),
             publications: HashMap::new(),
             churned: BTreeSet::new(),
             last_republished: HashMap::new(),
@@ -306,28 +314,24 @@ impl Dht {
     /// Number of currently-online nodes.
     #[must_use]
     pub fn online_count(&self) -> usize {
-        self.nodes.values().filter(|n| n.is_online()).count()
+        self.online_users.len()
     }
 
     /// Joins `user` to the overlay (or brings its node back online),
     /// bootstrapping its routing table through an iterative self-lookup.
     pub fn join(&mut self, user: UserId, now: SimTime) {
         if let Some(&id) = self.by_user.get(&user) {
-            self.nodes.get_mut(&id).expect("indexed").set_online(true);
+            self.set_online(user, id, true);
             self.churned.remove(&user);
             return;
         }
         let node = Node::new(user);
         let id = node.id();
         // Bootstrap through an arbitrary online node (deterministic order).
-        let bootstrap = self
-            .nodes
-            .values()
-            .filter(|n| n.is_online())
-            .map(Node::id)
-            .min();
+        let bootstrap = self.online_ids.first().copied();
         self.by_user.insert(user, id);
         self.nodes.insert(id, node);
+        self.set_online(user, id, true);
         if let Some(boot) = bootstrap {
             self.nodes
                 .get_mut(&id)
@@ -341,7 +345,7 @@ impl Dht {
                 .observe(id, now);
             let found = self.iterative_find(id, id, now).alive;
             let me = self.nodes.get_mut(&id).expect("exists");
-            for peer in found {
+            for (_, peer) in found {
                 me.routing_mut().observe(peer, now);
             }
             // Bucket refresh (Kademlia §2.3): look up a few well-spread
@@ -354,7 +358,7 @@ impl Dht {
                 );
                 let found = self.iterative_find(id, target, now).alive;
                 let me = self.nodes.get_mut(&id).expect("exists");
-                for peer in found {
+                for (_, peer) in found {
                     me.routing_mut().observe(peer, now);
                 }
             }
@@ -365,7 +369,7 @@ impl Dht {
     /// disk and reappear when the node rejoins — Kademlia semantics.
     pub fn leave(&mut self, user: UserId) {
         if let Some(&id) = self.by_user.get(&user) {
-            self.nodes.get_mut(&id).expect("indexed").set_online(false);
+            self.set_online(user, id, false);
             self.churned.remove(&user);
         }
     }
@@ -373,10 +377,22 @@ impl Dht {
     /// Whether `user` is currently online in the overlay.
     #[must_use]
     pub fn is_online(&self, user: UserId) -> bool {
-        self.by_user
-            .get(&user)
-            .and_then(|id| self.nodes.get(id))
-            .is_some_and(Node::is_online)
+        self.online_users.binary_search(&user).is_ok()
+    }
+
+    /// Sets `user`'s node (with id `id`) online or offline.
+    fn set_online(&mut self, user: UserId, id: NodeId, online: bool) {
+        match (self.online_users.binary_search(&user), online) {
+            (Err(pos), true) => {
+                self.online_users.insert(pos, user);
+                self.online_ids.insert(id);
+            }
+            (Ok(pos), false) => {
+                self.online_users.remove(pos);
+                self.online_ids.remove(&id);
+            }
+            _ => {}
+        }
     }
 
     /// Applies the fault plan's churn schedule at `now`: nodes the
@@ -394,14 +410,13 @@ impl Dht {
         for user in users {
             let down = self.injector.plan().node_down(user, now);
             let id = self.by_user[&user];
-            let node = self.nodes.get_mut(&id).expect("indexed");
-            if down && node.is_online() {
-                node.set_online(false);
+            if down && self.is_online(user) {
+                self.set_online(user, id, false);
                 self.churned.insert(user);
                 self.injector.trace_mut().note_churn(user, true);
                 downs += 1;
             } else if !down && self.churned.remove(&user) {
-                node.set_online(true);
+                self.set_online(user, id, true);
                 self.injector.trace_mut().note_churn(user, false);
                 ups += 1;
             }
@@ -445,7 +460,7 @@ impl Dht {
         let origin = self.require_online(publisher)?;
         let targets = self.iterative_find(origin, key, now).alive;
         let mut stored = 0;
-        for target in targets.iter().take(self.config.replication) {
+        for (_, target) in targets.iter().take(self.config.replication) {
             let result = self.rpc_with_retry(RpcKind::Store, publisher, *target, now);
             if result.delivered || result.late_store {
                 if let Some(node) = self.nodes.get_mut(target) {
@@ -468,7 +483,7 @@ impl Dht {
         let publications = self.publications.entry(publisher).or_default();
         publications.retain(|(k, _)| *k != key);
         publications.push((key, data));
-        trace.annotate("replicas", stored.to_string());
+        trace.annotate("replicas", stored);
         if stored == 0 {
             return Err(DhtError::NoReachableNodes);
         }
@@ -497,14 +512,14 @@ impl Dht {
         // unresponsive replica holder must surface as `unreachable`, not
         // silently vanish from the owner list.
         let lookup = self.iterative_find(origin, key, now);
-        let mut targets: Vec<NodeId> = lookup.alive;
+        let mut targets = lookup.alive;
         targets.extend(lookup.failed);
-        targets.sort_by_key(|n| n.distance(&key));
-        targets.dedup();
+        targets.sort_unstable_by_key(|&(d, _)| d);
+        targets.dedup_by_key(|&mut (d, _)| d);
         let retries_before = self.stats.retried;
         let mut outcome = GetOutcome::default();
         let mut seen = BTreeSet::new();
-        for target in targets.iter().take(self.config.replication) {
+        for (_, target) in targets.iter().take(self.config.replication) {
             outcome.contacted += 1;
             let result = self.rpc_with_retry(RpcKind::FindValue, requester, *target, now);
             let Some(node) = self.nodes.get(target) else {
@@ -532,9 +547,9 @@ impl Dht {
             }
         }
         outcome.retries = self.stats.retried - retries_before;
-        trace.annotate("values", outcome.values.len().to_string());
-        trace.annotate("unreachable", outcome.unreachable.len().to_string());
-        trace.annotate("retries", outcome.retries.to_string());
+        trace.annotate("values", outcome.values.len());
+        trace.annotate("unreachable", outcome.unreachable.len());
+        trace.annotate("retries", outcome.retries);
         if !outcome.unreachable.is_empty() {
             mdrep_obs::global().counter_add(
                 "dht.get.unreachable_owners",
@@ -595,9 +610,9 @@ impl Dht {
             report.refreshed += refreshed;
             self.last_republished.insert(user, now);
         }
-        trace.annotate("due", report.due.to_string());
-        trace.annotate("refreshed", report.refreshed.to_string());
-        trace.annotate("skipped_offline", report.skipped_offline.to_string());
+        trace.annotate("due", report.due);
+        trace.annotate("refreshed", report.refreshed);
+        trace.annotate("skipped_offline", report.skipped_offline);
         report
     }
 
@@ -614,13 +629,9 @@ impl Dht {
         now: SimTime,
     ) -> GossipDelivery {
         let mut trace = mdrep_obs::trace_span("dht.gossip.push");
-        trace.annotate("records", payloads.len().to_string());
+        trace.annotate("records", payloads.len());
         self.stats.gossip += 1;
-        let online = self
-            .by_user
-            .get(&to)
-            .and_then(|id| self.nodes.get(id))
-            .is_some_and(Node::is_online);
+        let online = self.is_online(to);
         match self.injector.next_outcome(
             RpcKind::Gossip,
             from,
@@ -673,14 +684,7 @@ impl Dht {
     /// pool for gossip fan-out selection.
     #[must_use]
     pub fn online_users(&self) -> Vec<UserId> {
-        let mut users: Vec<UserId> = self
-            .by_user
-            .iter()
-            .filter(|(_, id)| self.nodes.get(id).is_some_and(Node::is_online))
-            .map(|(user, _)| *user)
-            .collect();
-        users.sort_unstable();
-        users
+        self.online_users.clone()
     }
 
     /// Expires stale values on every node; returns how many were dropped.
@@ -696,7 +700,7 @@ impl Dht {
 
     fn require_online(&self, user: UserId) -> Result<NodeId, DhtError> {
         let id = *self.by_user.get(&user).ok_or(DhtError::UnknownUser(user))?;
-        if self.nodes.get(&id).is_some_and(Node::is_online) {
+        if self.is_online(user) {
             Ok(id)
         } else {
             Err(DhtError::Offline(user))
@@ -715,11 +719,11 @@ impl Dht {
         attempt: u32,
     ) -> Attempt {
         let mut trace = mdrep_obs::trace_span("dht.rpc.attempt");
-        trace.annotate("attempt", (attempt + 1).to_string());
+        trace.annotate("attempt", attempt + 1);
         if attempt > 0 {
             trace.annotate(
                 "backoff_ticks",
-                self.config.retry.backoff_ticks(attempt - 1).to_string(),
+                self.config.retry.backoff_ticks(attempt - 1),
             );
         }
         match kind {
@@ -731,7 +735,7 @@ impl Dht {
         let (to_user, online) = self
             .nodes
             .get(&target)
-            .map(|n| (n.user(), n.is_online()))
+            .map(|n| (n.user(), self.is_online(n.user())))
             .unwrap_or((from, false));
         match self
             .injector
@@ -807,8 +811,8 @@ impl Dht {
                 Attempt::Fail { late_store: late } => late_store |= late,
             }
         }
-        trace.annotate("attempts", attempts_used.to_string());
-        trace.annotate("delivered", delivered.to_string());
+        trace.annotate("attempts", attempts_used);
+        trace.annotate("delivered", delivered);
         RpcResult {
             delivered,
             late_store,
@@ -834,30 +838,34 @@ impl Dht {
             .map(Node::user)
             .unwrap_or(UserId::new(0));
         let k = self.config.replication.max(crate::routing::BUCKET_SIZE);
-        let mut candidates: Vec<NodeId> = self
+        // Candidates carry their distance to the key, computed once, so a
+        // round sorts integers. Distinct ids have distinct distances, so
+        // sorting and deduplicating by distance is sorting and
+        // deduplicating by id.
+        let mut candidates = self
             .nodes
             .get(&origin)
-            .map(|n| n.routing().closest(&key, k))
+            .map(|n| n.routing().closest_keyed(&key, k))
             .unwrap_or_default();
         // The origin itself is a candidate server for the key.
-        candidates.push(origin);
+        candidates.push((origin.distance_key(&key), origin));
         let mut queried: BTreeSet<NodeId> = BTreeSet::new();
         queried.insert(origin);
-        let mut alive: BTreeSet<NodeId> = BTreeSet::new();
-        alive.insert(origin);
-        let mut failed: BTreeSet<NodeId> = BTreeSet::new();
+        let mut alive: Vec<(DistanceKey, NodeId)> = vec![(origin.distance_key(&key), origin)];
+        let mut failed: Vec<(DistanceKey, NodeId)> = Vec::new();
 
         loop {
-            candidates.sort_by_key(|n| n.distance(&key));
-            candidates.dedup();
+            candidates.sort_unstable_by_key(|&(d, _)| d);
+            candidates.dedup_by_key(|&mut (d, _)| d);
             // Kademlia termination: only the k closest known nodes are
             // worth querying; when they have all answered, the lookup has
             // converged (this is what bounds the lookup at O(log n) hops
-            // instead of crawling the whole overlay).
-            let round: Vec<NodeId> = candidates
+            // instead of crawling the whole overlay). Candidates are never
+            // withdrawn, so one pushed past the k closest never returns.
+            candidates.truncate(k);
+            let round: Vec<(DistanceKey, NodeId)> = candidates
                 .iter()
-                .take(k)
-                .filter(|n| !queried.contains(n))
+                .filter(|(_, n)| !queried.contains(n))
                 .take(self.config.lookup_parallelism)
                 .copied()
                 .collect();
@@ -866,23 +874,23 @@ impl Dht {
             }
             hops += 1;
             let mut learned = Vec::new();
-            for target in round {
+            for (distance, target) in round {
                 queried.insert(target);
                 let result = self.rpc_with_retry(RpcKind::FindNode, origin_user, target, now);
                 if !result.delivered {
                     timeouts += 1;
-                    failed.insert(target);
+                    failed.push((distance, target));
                     // Forget unreachable peers on the origin's table.
                     if let Some(o) = self.nodes.get_mut(&origin) {
                         o.routing_mut().remove(&target);
                     }
                     continue;
                 }
-                alive.insert(target);
+                alive.push((distance, target));
                 let Some(node) = self.nodes.get(&target) else {
                     continue;
                 };
-                learned.extend(node.routing().closest(&key, k));
+                learned.extend(node.routing().closest_keyed(&key, k));
                 // Both sides refresh their tables from the traffic
                 // (Kademlia tables are refreshed by incoming traffic; the
                 // origin's fresh timestamp is what keeps the responsive
@@ -903,14 +911,13 @@ impl Dht {
         obs.counter_add("dht.lookup.hops", hops);
         obs.counter_add("dht.lookup.timeouts", timeouts);
         obs.histogram_record("dht.lookup.hops_per_lookup", hops as f64);
-        phase.annotate("hops", hops.to_string());
-        phase.annotate("timeouts", timeouts.to_string());
+        phase.annotate("hops", hops);
+        phase.annotate("timeouts", timeouts);
 
-        let mut alive: Vec<NodeId> = alive.into_iter().collect();
-        alive.sort_by_key(|n| n.distance(&key));
+        // A node is queried at most once, so neither list repeats an id.
+        alive.sort_unstable_by_key(|&(d, _)| d);
         alive.truncate(k);
-        let mut failed: Vec<NodeId> = failed.into_iter().collect();
-        failed.sort_by_key(|n| n.distance(&key));
+        failed.sort_unstable_by_key(|&(d, _)| d);
         failed.truncate(k);
         LookupResult { alive, failed }
     }

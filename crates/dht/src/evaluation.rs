@@ -48,7 +48,8 @@ impl EvaluationInfo {
     /// `file:u64 | owner:u64 | eval:f64-bits | signature:32`.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Self::message_bytes(self.file, self.owner, self.evaluation);
+        let mut out = Vec::with_capacity(8 + 8 + 8 + 32);
+        out.extend_from_slice(&Self::message_bytes(self.file, self.owner, self.evaluation));
         out.extend_from_slice(self.signature.as_bytes());
         out
     }
@@ -73,11 +74,11 @@ impl EvaluationInfo {
         })
     }
 
-    fn message_bytes(file: FileId, owner: UserId, evaluation: Evaluation) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24);
-        out.extend_from_slice(&file.as_u64().to_be_bytes());
-        out.extend_from_slice(&owner.as_u64().to_be_bytes());
-        out.extend_from_slice(&evaluation.value().to_bits().to_be_bytes());
+    fn message_bytes(file: FileId, owner: UserId, evaluation: Evaluation) -> [u8; 24] {
+        let mut out = [0; 24];
+        out[0..8].copy_from_slice(&file.as_u64().to_be_bytes());
+        out[8..16].copy_from_slice(&owner.as_u64().to_be_bytes());
+        out[16..24].copy_from_slice(&evaluation.value().to_bits().to_be_bytes());
         out
     }
 }

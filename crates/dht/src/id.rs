@@ -17,6 +17,10 @@ pub struct Key([u8; ID_BYTES]);
 /// A DHT node's identifier (derived from the owning user's id).
 pub type NodeId = Key;
 
+/// An XOR distance as `(high 128 bits, low 32 bits)`; see
+/// [`Key::distance_key`].
+pub(crate) type DistanceKey = (u128, u32);
+
 impl Key {
     /// Wraps raw bytes.
     #[must_use]
@@ -73,6 +77,26 @@ impl Key {
             *byte = self.0[i] ^ other.0[i];
         }
         Distance(out)
+    }
+
+    /// The XOR distance to `other` as big-endian integers: the first 16
+    /// bytes, then the last 4. It orders exactly like [`distance`]
+    /// (lexicographic on big-endian bytes is numeric), but compares in two
+    /// integer comparisons, so sorts keyed on it are cheap.
+    ///
+    /// [`distance`]: Self::distance
+    pub(crate) fn distance_key(&self, other: &Self) -> DistanceKey {
+        let (hi, lo) = self.words();
+        let (other_hi, other_lo) = other.words();
+        (hi ^ other_hi, lo ^ other_lo)
+    }
+
+    fn words(&self) -> DistanceKey {
+        let (hi, lo) = self.0.split_at(16);
+        (
+            u128::from_be_bytes(hi.try_into().expect("16 bytes")),
+            u32::from_be_bytes(lo.try_into().expect("4 bytes")),
+        )
     }
 
     /// The index of the k-bucket this key falls into relative to `self`:
@@ -187,6 +211,23 @@ mod tests {
         let mut big = [0u8; ID_BYTES];
         big[0] = 1;
         assert!(zero.distance(&Key::from_bytes(small)) < zero.distance(&Key::from_bytes(big)));
+    }
+
+    #[test]
+    fn distance_key_orders_like_distance() {
+        let target = Key::for_content(b"target");
+        let mut ids: Vec<Key> = (0..200).map(|i| Key::for_user(UserId::new(i))).collect();
+        // Ids that differ only in the low 4 bytes exercise the second word.
+        let mut near = *target.as_bytes();
+        for b in 0..8u8 {
+            near[ID_BYTES - 1] = b;
+            ids.push(Key::from_bytes(near));
+        }
+        let mut by_distance = ids.clone();
+        by_distance.sort_by_key(|k| k.distance(&target));
+        ids.sort_by_key(|k| k.distance_key(&target));
+        assert_eq!(ids, by_distance);
+        assert_eq!(target.distance_key(&target), (0, 0));
     }
 
     #[test]

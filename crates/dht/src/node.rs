@@ -16,17 +16,17 @@ pub struct StoredValue {
     pub expires_at: SimTime,
 }
 
-/// A DHT node owned by a user.
+/// A DHT node owned by a user. Whether it is online is the overlay's
+/// state, not the node's: see [`Dht::is_online`](crate::Dht::is_online).
 #[derive(Debug, Clone)]
 pub struct Node {
     user: UserId,
     routing: RoutingTable,
     storage: HashMap<Key, Vec<StoredValue>>,
-    online: bool,
 }
 
 impl Node {
-    /// Creates an online node for `user`.
+    /// Creates a node for `user`.
     #[must_use]
     pub fn new(user: UserId) -> Self {
         let id = Key::for_user(user);
@@ -34,7 +34,6 @@ impl Node {
             user,
             routing: RoutingTable::new(id),
             storage: HashMap::new(),
-            online: true,
         }
     }
 
@@ -48,17 +47,6 @@ impl Node {
     #[must_use]
     pub fn id(&self) -> NodeId {
         self.routing.own_id()
-    }
-
-    /// Whether the node currently answers RPCs.
-    #[must_use]
-    pub fn is_online(&self) -> bool {
-        self.online
-    }
-
-    /// Sets the online flag (session churn).
-    pub fn set_online(&mut self, online: bool) {
-        self.online = online;
     }
 
     /// Mutable access to the routing table.
@@ -162,14 +150,6 @@ mod tests {
         assert_eq!(got.len(), 2, "one per publisher");
         assert!(got.iter().any(|v| v.data == b"v2"));
         assert!(!got.iter().any(|v| v.data == b"v1"));
-    }
-
-    #[test]
-    fn online_flag_toggles() {
-        let mut node = Node::new(UserId::new(1));
-        assert!(node.is_online());
-        node.set_online(false);
-        assert!(!node.is_online());
     }
 
     #[test]

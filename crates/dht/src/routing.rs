@@ -1,26 +1,34 @@
 //! Per-node k-bucket routing tables with last-seen tracking.
 
-use crate::id::{Key, NodeId, ID_BYTES};
+use crate::id::{DistanceKey, Key, NodeId};
 use mdrep_types::{SimDuration, SimTime};
+use std::ops::Range;
 
 /// Number of entries per bucket (Kademlia's `k`).
 pub const BUCKET_SIZE: usize = 8;
 
-/// One known peer and when it was last observed alive.
+/// One known peer, the bucket it falls into, and when it was last
+/// observed alive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
-    id: NodeId,
     last_seen: SimTime,
+    id: NodeId,
+    bucket: u8,
 }
 
 /// A node's view of the overlay: 160 LRU buckets of known peers, each
 /// entry stamped with the last time the peer was observed alive so that
 /// departed nodes age out ([`expire_stale`](Self::expire_stale)) instead
 /// of lingering forever.
+///
+/// The buckets live in one contiguous `Vec`, grouped by bucket index
+/// (ascending) and, within a bucket, least recently seen first. Most of a
+/// table's 160 buckets are empty, so one flat array is both smaller than
+/// 160 separate lists and cheaper to scan for [`closest`](Self::closest).
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
     own: NodeId,
-    buckets: Vec<Vec<Entry>>,
+    entries: Vec<Entry>,
 }
 
 impl RoutingTable {
@@ -29,7 +37,7 @@ impl RoutingTable {
     pub fn new(own: NodeId) -> Self {
         Self {
             own,
-            buckets: vec![Vec::new(); ID_BYTES * 8],
+            entries: Vec::new(),
         }
     }
 
@@ -45,32 +53,35 @@ impl RoutingTable {
     /// Kademlia's ping-before-evict that keeps the simulation
     /// deterministic. Returns whether the peer is now in the table.
     pub fn observe(&mut self, peer: NodeId, now: SimTime) -> bool {
-        let Some(index) = self.own.bucket_index(&peer) else {
+        let Some(bucket) = self.bucket_of(&peer) else {
             return false; // never store ourselves
         };
-        let bucket = &mut self.buckets[index];
-        if let Some(pos) = bucket.iter().position(|e| e.id == peer) {
-            bucket.remove(pos);
-            bucket.push(Entry {
-                id: peer,
-                last_seen: now,
-            });
-            return true;
-        }
-        if bucket.len() == BUCKET_SIZE {
-            bucket.remove(0);
-        }
-        bucket.push(Entry {
-            id: peer,
+        let range = self.bucket_range(bucket);
+        let entry = Entry {
             last_seen: now,
-        });
+            id: peer,
+            bucket,
+        };
+        let slots = &mut self.entries[range.clone()];
+        // The slot that leaves: the peer's own, or the oldest when full.
+        let leaving = slots
+            .iter()
+            .position(|e| e.id == peer)
+            .or((slots.len() == BUCKET_SIZE).then_some(0));
+        match leaving {
+            Some(pos) => {
+                slots[pos..].rotate_left(1);
+                slots[slots.len() - 1] = entry;
+            }
+            None => self.entries.insert(range.end, entry),
+        }
         true
     }
 
     /// Removes a peer (e.g. observed offline).
     pub fn remove(&mut self, peer: &NodeId) {
-        if let Some(index) = self.own.bucket_index(peer) {
-            self.buckets[index].retain(|e| e.id != *peer);
+        if let Some(index) = self.position(peer) {
+            self.entries.remove(index);
         }
     }
 
@@ -79,59 +90,96 @@ impl RoutingTable {
     /// after one expiry pass at `departure + max_age` they are guaranteed
     /// gone from every table.
     pub fn expire_stale(&mut self, now: SimTime, max_age: SimDuration) -> usize {
-        let mut evicted = 0;
-        for bucket in &mut self.buckets {
-            let before = bucket.len();
-            bucket.retain(|e| e.last_seen + max_age > now);
-            evicted += before - bucket.len();
-        }
-        evicted
+        let before = self.entries.len();
+        self.entries.retain(|e| e.last_seen + max_age > now);
+        before - self.entries.len()
     }
 
     /// When `peer` was last observed alive, if it is in the table.
     #[must_use]
     pub fn last_seen(&self, peer: &NodeId) -> Option<SimTime> {
-        let index = self.own.bucket_index(peer)?;
-        self.buckets[index]
-            .iter()
-            .find(|e| e.id == *peer)
-            .map(|e| e.last_seen)
+        self.position(peer).map(|i| self.entries[i].last_seen)
     }
 
     /// The `count` known peers closest to `target`, ordered by XOR
     /// distance.
     #[must_use]
     pub fn closest(&self, target: &Key, count: usize) -> Vec<NodeId> {
-        let mut all: Vec<NodeId> = self.buckets.iter().flatten().map(|e| e.id).collect();
-        all.sort_by_key(|n| n.distance(target));
-        all.truncate(count);
-        all
+        self.closest_keyed(target, count)
+            .into_iter()
+            .map(|(_, id)| id)
+            .collect()
+    }
+
+    /// [`closest`](Self::closest) with each peer's distance to `target`,
+    /// nearest first. Each distance is computed once; distinct ids have
+    /// distinct distances, so the order is total.
+    pub(crate) fn closest_keyed(&self, target: &Key, count: usize) -> Vec<(DistanceKey, NodeId)> {
+        let mut keyed: Vec<(DistanceKey, NodeId)> = self
+            .entries
+            .iter()
+            .map(|e| (e.id.distance_key(target), e.id))
+            .collect();
+        if count == 0 {
+            keyed.clear();
+        } else if count < keyed.len() {
+            keyed.select_nth_unstable_by_key(count - 1, |&(d, _)| d);
+            keyed.truncate(count);
+        }
+        keyed.sort_unstable_by_key(|&(d, _)| d);
+        keyed
     }
 
     /// Total peers known.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.buckets.iter().map(Vec::len).sum()
+        self.entries.len()
     }
 
     /// Whether the table knows no peers.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.buckets.iter().all(Vec::is_empty)
+        self.entries.is_empty()
     }
 
     /// Whether `peer` is present.
     #[must_use]
     pub fn contains(&self, peer: &NodeId) -> bool {
+        self.position(peer).is_some()
+    }
+
+    /// The bucket `peer` falls into, or `None` for our own id.
+    fn bucket_of(&self, peer: &NodeId) -> Option<u8> {
         self.own
             .bucket_index(peer)
-            .is_some_and(|i| self.buckets[i].iter().any(|e| e.id == *peer))
+            .map(|i| u8::try_from(i).expect("160 buckets"))
+    }
+
+    /// Where `bucket`'s entries sit in `entries` (empty when it has none).
+    fn bucket_range(&self, bucket: u8) -> Range<usize> {
+        let start = self.entries.partition_point(|e| e.bucket < bucket);
+        let len = self.entries[start..]
+            .iter()
+            .take_while(|e| e.bucket == bucket)
+            .count();
+        start..start + len
+    }
+
+    /// `peer`'s index in `entries`, if present.
+    fn position(&self, peer: &NodeId) -> Option<usize> {
+        let range = self.bucket_range(self.bucket_of(peer)?);
+        let start = range.start;
+        self.entries[range]
+            .iter()
+            .position(|e| e.id == *peer)
+            .map(|i| start + i)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::id::ID_BYTES;
     use mdrep_types::UserId;
 
     fn node(i: u64) -> NodeId {

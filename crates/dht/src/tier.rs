@@ -291,11 +291,8 @@ impl EvaluationCacheTier {
         records: &[VerifiedEvaluation],
         now: SimTime,
     ) {
-        let candidates: Vec<UserId> = dht
-            .online_users()
-            .into_iter()
-            .filter(|u| *u != from)
-            .collect();
+        let mut candidates = dht.online_users();
+        candidates.retain(|u| *u != from);
         if candidates.is_empty() {
             return;
         }

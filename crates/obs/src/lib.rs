@@ -474,8 +474,9 @@ pub struct Phase {
 }
 
 impl Phase {
-    /// Annotates the trace span (no-op while the tracer is disabled).
-    pub fn annotate(&mut self, key: &'static str, value: impl Into<String>) {
+    /// Annotates the trace span; the value is formatted only while the
+    /// tracer records (a no-op, with no allocation, while it is disabled).
+    pub fn annotate(&mut self, key: &'static str, value: impl fmt::Display) {
         self.trace.annotate(key, value);
     }
 }

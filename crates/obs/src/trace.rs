@@ -41,6 +41,7 @@
 //! ```
 
 use std::cell::RefCell;
+use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -320,11 +321,12 @@ impl TraceSpan<'_> {
         self.live.is_some()
     }
 
-    /// Attaches a string annotation (exported under the event's `args`).
-    /// No-op on an inert guard.
-    pub fn annotate(&mut self, key: &'static str, value: impl Into<String>) {
+    /// Attaches an annotation (exported as a string under the event's
+    /// `args`). The value is formatted only while recording: on an inert
+    /// guard this is a no-op that allocates nothing.
+    pub fn annotate(&mut self, key: &'static str, value: impl fmt::Display) {
         if let Some(live) = &mut self.live {
-            live.args.push((key, value.into()));
+            live.args.push((key, value.to_string()));
         }
     }
 }
@@ -537,7 +539,7 @@ mod tests {
         {
             let mut s = t.span("test.args.span");
             s.annotate("outcome", "delivered");
-            s.annotate("attempt", 3.to_string());
+            s.annotate("attempt", 3);
         }
         let events = t.events();
         assert_eq!(

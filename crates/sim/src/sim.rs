@@ -141,7 +141,7 @@ impl<S: ReputationSystem> Simulation<S> {
                 recompute_count += 1;
                 {
                     let mut tick_span = mdrep_obs::trace_span("sim.tick.recompute");
-                    tick_span.annotate("sim_time_ticks", tick.to_string());
+                    tick_span.annotate("sim_time_ticks", tick);
                     match self.config.full_rebuild_interval {
                         Some(k) if k > 0 && recompute_count.is_multiple_of(k) => {
                             tick_span.annotate("kind", "full_rebuild");
@@ -285,7 +285,7 @@ impl<S: ReputationSystem> Simulation<S> {
         // Close the final interval.
         {
             let mut tick_span = mdrep_obs::trace_span("sim.tick.recompute");
-            tick_span.annotate("sim_time_ticks", next_recompute.as_ticks().to_string());
+            tick_span.annotate("sim_time_ticks", next_recompute.as_ticks());
             tick_span.annotate("kind", "final");
             self.system.recompute(next_recompute);
         }
@@ -427,15 +427,15 @@ impl<S: ReputationSystem> Simulation<S> {
                     }
                 }
                 let mut query = mdrep_obs::trace_span("sim.eq9.query");
-                query.annotate("file", file.to_string());
+                query.annotate("file", file);
                 query.annotate("source", "cache");
-                query.annotate("age_ticks", age.as_ticks().to_string());
-                query.annotate("owners", cached.len().to_string());
+                query.annotate("age_ticks", age.as_ticks());
+                query.annotate("owners", cached.len());
                 return cached;
             }
         }
         let mut query = mdrep_obs::trace_span("sim.eq9.query");
-        query.annotate("file", file.to_string());
+        query.annotate("file", file);
         let mut attempted = 0u64;
         let mut lost = 0u64;
         let result: Vec<OwnerEvaluation> = {
@@ -464,17 +464,14 @@ impl<S: ReputationSystem> Simulation<S> {
                         };
                         for attempt in 0..attempts {
                             let mut a = mdrep_obs::trace_span("dht.rpc.attempt");
-                            a.annotate("attempt", (attempt + 1).to_string());
+                            a.annotate("attempt", attempt + 1);
                             if attempt > 0 {
-                                a.annotate(
-                                    "backoff_ticks",
-                                    retry.backoff_ticks(attempt - 1).to_string(),
-                                );
+                                a.annotate("backoff_ticks", retry.backoff_ticks(attempt - 1));
                             }
                             a.annotate("outcome", if dropped { "lost" } else { "delivered" });
                         }
-                        rpc.annotate("attempts", attempts.to_string());
-                        rpc.annotate("delivered", (!dropped).to_string());
+                        rpc.annotate("attempts", attempts);
+                        rpc.annotate("delivered", !dropped);
                         if dropped {
                             lost += 1;
                         }
@@ -491,9 +488,9 @@ impl<S: ReputationSystem> Simulation<S> {
         };
         self.fault_retrievals += attempted;
         self.fault_lost += lost;
-        query.annotate("owners", result.len().to_string());
-        query.annotate("attempted", attempted.to_string());
-        query.annotate("lost", lost.to_string());
+        query.annotate("owners", result.len());
+        query.annotate("attempted", attempted);
+        query.annotate("lost", lost);
         if self.cache_policy.is_some() {
             let cache = self.caches.get_mut(&viewer).expect("created on lookup");
             cache.insert(Key::for_file(file), result.clone(), now);
