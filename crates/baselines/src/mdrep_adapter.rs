@@ -60,10 +60,6 @@ impl ReputationSystem for MultiDimensional {
         self.engine.recompute(now);
     }
 
-    fn full_rebuild(&mut self, now: SimTime) {
-        self.engine.full_rebuild(now);
-    }
-
     fn reputation(&self, i: UserId, j: UserId) -> f64 {
         self.engine.reputation(i, j)
     }

@@ -22,14 +22,6 @@ pub trait ReputationSystem {
     /// Rebuilds internal state from the observations so far.
     fn recompute(&mut self, now: SimTime);
 
-    /// Forces a from-scratch rebuild, bypassing any incremental shortcuts
-    /// the implementation keeps. Systems without an incremental path (every
-    /// baseline) fall back to a plain [`recompute`](Self::recompute); the
-    /// simulator calls this periodically to bound incremental drift.
-    fn full_rebuild(&mut self, now: SimTime) {
-        self.recompute(now);
-    }
-
     /// How much `i` trusts `j`, in `[0, 1]`-comparable units; 0 for
     /// strangers. For global systems (EigenTrust) the value is independent
     /// of `i`.
@@ -86,10 +78,6 @@ impl ReputationSystem for Box<dyn ReputationSystem> {
 
     fn recompute(&mut self, now: SimTime) {
         (**self).recompute(now);
-    }
-
-    fn full_rebuild(&mut self, now: SimTime) {
-        (**self).full_rebuild(now);
     }
 
     fn reputation(&self, i: UserId, j: UserId) -> f64 {

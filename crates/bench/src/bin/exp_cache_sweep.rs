@@ -1,7 +1,12 @@
-//! **CACHE** — the reputation-cache/gossip tier at scale, as a CI gate:
-//! seeded cache sweeps ([`run_cache_sweep`]) at 10k–100k simulated nodes
-//! under the default cache fault plan (10% message loss + churn waves),
-//! measuring lookup hit ratio, message volume, staleness, and divergence.
+//! **CACHE** — a model of the reputation-cache/gossip tier at scale, as a
+//! CI gate: seeded cache sweeps ([`run_cache_sweep`]) at 10k–100k
+//! simulated nodes under the default cache fault plan (10% message loss +
+//! churn waves), measuring lookup hit ratio, message volume, staleness,
+//! and divergence.
+//!
+//! The sweep models `mdrep_dht::EvaluationCacheTier`; it does not run it.
+//! Unlike the tier it caches partial owner lists and gossips to
+//! Zipf-sampled viewers, so its hit ratio is the model's, not the tier's.
 //!
 //! Gated bounds (checked on the 10k-node row, `--no-gate` skips):
 //! - steady-state cache-hit ratio ≥ 0.8 (`--min-hit-ratio`);
@@ -21,8 +26,8 @@
 //!       --seed 42 --bounded --metrics-out results/cache_sweep.json`
 
 use mdrep_bench::Table;
-use mdrep_dht::{ChurnSchedule, FaultPlan};
-use mdrep_sim::{run_cache_sweep, CachePolicy, CacheSweepConfig, CacheSweepReport};
+use mdrep_dht::{CacheConfig, ChurnSchedule, FaultPlan};
+use mdrep_sim::{run_cache_sweep, CacheSweepConfig, CacheSweepReport};
 use mdrep_types::SimDuration;
 
 fn flag(name: &str) -> bool {
@@ -46,10 +51,9 @@ fn sweep_config(nodes: usize, ttl: SimDuration, seed: u64) -> CacheSweepConfig {
         queries: (nodes * 4).max(20_000),
         viewer_zipf: 1.8,
         file_zipf: 1.5,
-        policy: CachePolicy {
+        cache: CacheConfig {
             capacity: 1024,
             ttl,
-            ..CachePolicy::default()
         },
         fault: Some(default_plan(seed)),
         seed,

@@ -18,15 +18,6 @@ pub struct DhtConfig {
     pub lookup_parallelism: usize,
     /// Value TTL; republication refreshes it.
     pub ttl: SimDuration,
-    /// Probability that any RPC is lost in transit.
-    ///
-    /// Legacy knob, kept for experiment compatibility: when
-    /// [`fault`](DhtConfig::fault) is the quiet plan, this rate (seeded by
-    /// [`seed`](DhtConfig::seed)) is folded into it. A non-quiet fault
-    /// plan takes precedence.
-    pub message_loss: f64,
-    /// RNG seed for the legacy loss process.
-    pub seed: u64,
     /// The full fault model: loss, delays, duplication, churn schedules,
     /// partitions, byzantine nodes. Defaults to quiet.
     pub fault: FaultPlan,
@@ -43,8 +34,6 @@ impl Default for DhtConfig {
             replication: 3,
             lookup_parallelism: 3,
             ttl: SimDuration::from_hours(24),
-            message_loss: 0.0,
-            seed: 0,
             fault: FaultPlan::none(),
             retry: RetryPolicy::default(),
             route_entry_ttl: SimDuration::from_hours(48),
@@ -238,13 +227,8 @@ impl Dht {
     /// Creates an empty overlay.
     #[must_use]
     pub fn new(config: DhtConfig) -> Self {
-        let mut plan = config.fault.clone();
-        if plan.is_quiet() && config.message_loss > 0.0 {
-            plan.drop_rate = config.message_loss;
-            plan.seed = config.seed;
-        }
         Self {
-            injector: FaultInjector::new(plan),
+            injector: FaultInjector::new(config.fault.clone()),
             config,
             nodes: HashMap::new(),
             by_user: HashMap::new(),
@@ -268,8 +252,7 @@ impl Dht {
         self.stats = MessageStats::default();
     }
 
-    /// The fault plan actually in effect (after legacy `message_loss`
-    /// folding).
+    /// The fault plan in effect.
     #[must_use]
     pub fn fault_plan(&self) -> &FaultPlan {
         self.injector.plan()
@@ -1110,8 +1093,7 @@ mod tests {
     #[test]
     fn message_loss_degrades_but_does_not_crash() {
         let config = DhtConfig {
-            message_loss: 0.5,
-            seed: 42,
+            fault: FaultPlan::message_loss(0.5, 42),
             ..DhtConfig::default()
         };
         let mut dht = Dht::new(config);

@@ -1,7 +1,13 @@
-//! Eq. 9 evaluation caching: the per-viewer [`CachePolicy`] consumed by the
-//! trace simulator, plus [`run_cache_sweep`] — a seeded, replayable harness
-//! that measures cache-hit ratio, staleness, message volume, and divergence
-//! at 10k–100k simulated nodes under a [`FaultPlan`].
+//! [`run_cache_sweep`] — a seeded, replayable model of the Eq. 9
+//! reputation-cache tier that measures cache-hit ratio, staleness, message
+//! volume, and divergence at 10k–100k simulated nodes under a
+//! [`FaultPlan`].
+//!
+//! It models `mdrep_dht::EvaluationCacheTier` rather than driving it: the
+//! owner records come from an [`EvaluationStore`] instead of a real
+//! overlay, a fill caches whatever *partial* owner list survived the fault
+//! plan (the tier refuses to cache partial lists), and gossip pushes go to
+//! Zipf-sampled viewers (the tier pushes to uniformly drawn online nodes).
 //!
 //! # Staleness and divergence model
 //!
@@ -37,7 +43,6 @@
 //! assert_eq!(report.cache.divergent_hits, 0);
 //! ```
 
-use crate::metrics::CacheReport;
 use mdrep::{EvaluationStore, OwnerEvaluation, Params};
 use mdrep_dht::{CacheConfig, FaultInjector, FaultPlan, Key, ReputationCache, RetryPolicy};
 use mdrep_types::{Evaluation, FileId, SimDuration, SimTime, UserId};
@@ -45,47 +50,61 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::{BTreeSet, HashMap};
 
-/// Per-viewer evaluation cache policy on the sim's Eq. 9 query path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CachePolicy {
-    /// Maximum cached files per viewer (LRU beyond it).
-    pub capacity: usize,
-    /// Entry time to live; a hit's age is always strictly below it.
-    pub ttl: SimDuration,
-    /// Whether every hit is cross-checked against the authoritative
-    /// evaluation store (exact but slow — intended for tests and sweeps).
-    pub verify_hits: bool,
+/// Cache outcomes of one sweep, aggregated over every viewer's cache.
+///
+/// The divergence-bounding contract this report carries: every hit's
+/// staleness is bounded by the TTL (`stale_beyond_ttl` must stay 0), and
+/// every hit is compared against the authoritative evaluation store's
+/// answer at its fill time (`verified_hits` vs `divergent_hits`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CacheReport {
+    /// The TTL in force, in ticks (0 = bypass).
+    pub ttl_ticks: u64,
+    /// Cache lookups on the Eq. 9 owner-evaluation path.
+    pub lookups: u64,
+    /// Lookups served from a viewer's cache.
+    pub hits: u64,
+    /// Lookups that went to the network.
+    pub misses: u64,
+    /// Entries filled from network retrievals.
+    pub inserts: u64,
+    /// Entries evicted at or past their expiry tick.
+    pub expired_evictions: u64,
+    /// Entries evicted by capacity pressure.
+    pub lru_evictions: u64,
+    /// Hits whose entry age reached the TTL — always 0 by construction;
+    /// reported (and SLO-gated) rather than assumed.
+    pub stale_beyond_ttl: u64,
+    /// Worst hit age observed, in ticks (strictly < `ttl_ticks`).
+    pub max_staleness_ticks: u64,
+    /// Sum of hit ages in ticks.
+    pub sum_staleness_ticks: u64,
+    /// Hits cross-checked against the authoritative store.
+    pub verified_hits: u64,
+    /// Cross-checked hits whose records diverged from the authoritative
+    /// answer at fill time.
+    pub divergent_hits: u64,
 }
 
-impl Default for CachePolicy {
-    fn default() -> Self {
-        Self {
-            capacity: 256,
-            ttl: SimDuration::from_hours(1),
-            verify_hits: true,
-        }
-    }
-}
-
-impl CachePolicy {
-    /// A policy whose cache never serves hits (TTL zero). Lookups and
-    /// misses are still counted, which makes cached and uncached runs
-    /// directly comparable: a bypass run must be bit-identical to a run
-    /// with `SimConfig::cache = None` once the cache counters are ignored.
+impl CacheReport {
+    /// Fraction of lookups served from cache (`0.0` when no lookups — the
+    /// same zero-not-NaN contract as the other rate helpers).
     #[must_use]
-    pub fn bypass() -> Self {
-        Self {
-            ttl: SimDuration::ZERO,
-            ..Self::default()
+    pub fn hit_ratio(&self) -> f64 {
+        if self.lookups == 0 {
+            0.0
+        } else {
+            self.hits as f64 / self.lookups as f64
         }
     }
 
-    /// The DHT-layer cache configuration this policy prescribes.
+    /// Mean staleness of served hits in ticks (`0.0` with no hits).
     #[must_use]
-    pub fn cache_config(&self) -> CacheConfig {
-        CacheConfig {
-            capacity: self.capacity,
-            ttl: self.ttl,
+    pub fn mean_staleness_ticks(&self) -> f64 {
+        if self.hits == 0 {
+            0.0
+        } else {
+            self.sum_staleness_ticks as f64 / self.hits as f64
         }
     }
 }
@@ -129,8 +148,8 @@ pub struct CacheSweepConfig {
     pub viewer_zipf: f64,
     /// Zipf exponent of file popularity (what they ask about).
     pub file_zipf: f64,
-    /// The cache policy under test.
-    pub policy: CachePolicy,
+    /// Per-viewer cache capacity and TTL.
+    pub cache: CacheConfig,
     /// Gossip push modelling; `None` disables the dissemination tier.
     pub gossip: Option<SweepGossip>,
     /// Fault plan applied to every owner fetch and gossip push.
@@ -151,7 +170,10 @@ impl Default for CacheSweepConfig {
             ticks_per_query: 1,
             viewer_zipf: 1.2,
             file_zipf: 1.2,
-            policy: CachePolicy::default(),
+            cache: CacheConfig {
+                capacity: 256,
+                ttl: SimDuration::from_hours(1),
+            },
             gossip: Some(SweepGossip::default()),
             fault: None,
             retry: RetryPolicy::default(),
@@ -206,9 +228,10 @@ const OWNER_SALT: u64 = 0x6f77_6e65_7273_616c; // "ownersal"
 const VALUE_SALT: u64 = 0x7661_6c75_6573_616c; // "valuesal"
 const WORKLOAD_SALT: u64 = 0x776f_726b_6c6f_6164; // "workload"
 
-/// SplitMix64-style avalanche of three words (same construction as the
-/// fault layer's schedule hashing; local copy because that one is private
-/// to the DHT crate).
+/// SplitMix64-style avalanche of three words. It resembles the fault
+/// layer's private schedule hash but is not the same function (`c` enters
+/// rotated here, multiplied there); every sweep number depends on this
+/// exact construction.
 fn mix3(a: u64, b: u64, c: u64) -> u64 {
     let mut z = a
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
@@ -276,7 +299,7 @@ pub fn run_cache_sweep(config: &CacheSweepConfig) -> CacheSweepReport {
     let mut caches: HashMap<UserId, ReputationCache<Vec<OwnerEvaluation>>> = HashMap::new();
     let mut hot: HashMap<FileId, u64> = HashMap::new();
 
-    let ttl_ticks = config.policy.ttl.as_ticks();
+    let ttl_ticks = config.cache.ttl.as_ticks();
     let gossip_retry = RetryPolicy::no_retry();
     let mut report = CacheSweepReport {
         nodes: config.nodes,
@@ -300,7 +323,7 @@ pub fn run_cache_sweep(config: &CacheSweepConfig) -> CacheSweepReport {
         }
         let cache = caches
             .entry(viewer)
-            .or_insert_with(|| ReputationCache::new(config.policy.cache_config()));
+            .or_insert_with(|| ReputationCache::new(config.cache));
         let hit = cache
             .get(&key, now)
             .map(|h| (h.value.clone(), h.cached_at, h.age));
@@ -311,23 +334,21 @@ pub fn run_cache_sweep(config: &CacheSweepConfig) -> CacheSweepReport {
             if ttl_ticks > 0 && age.as_ticks() >= ttl_ticks {
                 stale_beyond_ttl += 1;
             }
-            if config.policy.verify_hits {
-                verified += 1;
-                // Gated: each record must equal the store's answer at the
-                // entry's fill time — anything else is a caching bug.
-                let at_fill_ok = records.iter().all(|r| {
-                    evals.evaluation(r.owner, file, cached_at, &params) == Some(r.evaluation)
-                });
-                if !at_fill_ok {
-                    divergent += 1;
-                }
-                // Measured: drift against the answer at the current tick.
-                let drifted = records
-                    .iter()
-                    .any(|r| evals.evaluation(r.owner, file, now, &params) != Some(r.evaluation));
-                if drifted {
-                    report.drift_hits += 1;
-                }
+            verified += 1;
+            // Gated: each record must equal the store's answer at the
+            // entry's fill time — anything else is a caching bug.
+            let at_fill_ok = records
+                .iter()
+                .all(|r| evals.evaluation(r.owner, file, cached_at, &params) == Some(r.evaluation));
+            if !at_fill_ok {
+                divergent += 1;
+            }
+            // Measured: drift against the answer at the current tick.
+            let drifted = records
+                .iter()
+                .any(|r| evals.evaluation(r.owner, file, now, &params) != Some(r.evaluation));
+            if drifted {
+                report.drift_hits += 1;
             }
             continue;
         }
@@ -376,7 +397,7 @@ pub fn run_cache_sweep(config: &CacheSweepConfig) -> CacheSweepReport {
                     }
                     let target_cache = caches
                         .entry(target)
-                        .or_insert_with(|| ReputationCache::new(config.policy.cache_config()));
+                        .or_insert_with(|| ReputationCache::new(config.cache));
                     if !target_cache.contains_fresh(&key, now) {
                         target_cache.insert(key, fetched.clone(), now);
                         report.gossip_prefills += 1;
@@ -425,13 +446,17 @@ mod tests {
     }
 
     #[test]
-    fn policy_defaults_and_bypass() {
-        let p = CachePolicy::default();
-        assert!(p.capacity > 0);
-        assert!(p.ttl > SimDuration::ZERO);
-        assert!(p.verify_hits);
-        assert!(!p.cache_config().is_bypass());
-        assert!(CachePolicy::bypass().cache_config().is_bypass());
+    fn cache_report_rates() {
+        let cache = CacheReport {
+            lookups: 100,
+            hits: 85,
+            sum_staleness_ticks: 850,
+            ..CacheReport::default()
+        };
+        assert!((cache.hit_ratio() - 0.85).abs() < 1e-12);
+        assert_eq!(cache.mean_staleness_ticks(), 10.0);
+        assert_eq!(CacheReport::default().hit_ratio(), 0.0);
+        assert_eq!(CacheReport::default().mean_staleness_ticks(), 0.0);
     }
 
     #[test]
@@ -483,19 +508,6 @@ mod tests {
     }
 
     #[test]
-    fn bypass_policy_counts_lookups_but_never_hits() {
-        let report = run_cache_sweep(&CacheSweepConfig {
-            policy: CachePolicy::bypass(),
-            ..small(3)
-        });
-        assert_eq!(report.cache.lookups, 2_000);
-        assert_eq!(report.cache.hits, 0);
-        assert_eq!(report.cache.misses, 2_000);
-        assert_eq!(report.steady_hits, 0);
-        assert_eq!(report.cache.divergent_hits, 0);
-    }
-
-    #[test]
     fn gossip_prefills_and_lifts_hit_ratio() {
         let without = run_cache_sweep(&CacheSweepConfig {
             gossip: None,
@@ -516,16 +528,16 @@ mod tests {
     #[test]
     fn ttl_sweep_trades_staleness_for_hits() {
         let short = run_cache_sweep(&CacheSweepConfig {
-            policy: CachePolicy {
+            cache: CacheConfig {
                 ttl: SimDuration::from_mins(1),
-                ..CachePolicy::default()
+                ..small(13).cache
             },
             ..small(13)
         });
         let long = run_cache_sweep(&CacheSweepConfig {
-            policy: CachePolicy {
+            cache: CacheConfig {
                 ttl: SimDuration::from_hours(4),
-                ..CachePolicy::default()
+                ..small(13).cache
             },
             ..small(13)
         });

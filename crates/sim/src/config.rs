@@ -1,9 +1,7 @@
 //! Simulation configuration.
 
-use crate::cache::CachePolicy;
 use mdrep::ServicePolicy;
 use mdrep_dht::{FaultPlan, RetryPolicy};
-use mdrep_types::SimDuration;
 
 /// Parameters of the overlay simulation.
 #[derive(Debug, Clone)]
@@ -12,9 +10,6 @@ pub struct SimConfig {
     pub upload_slots: usize,
     /// Per-slot upload bandwidth in MiB per simulated second.
     pub slot_bandwidth_mib_s: f64,
-    /// How often the reputation system recomputes (and the coverage series
-    /// gets a point).
-    pub recompute_interval: SimDuration,
     /// The service-differentiation policy.
     pub policy: ServicePolicy,
     /// Whether service differentiation is applied at all (off = FIFO and
@@ -26,14 +21,6 @@ pub struct SimConfig {
     pub contribution_weight: f64,
     /// Whether downloaders consult the file score and skip likely fakes.
     pub filter_fakes: bool,
-    /// File-score threshold below which a download is skipped.
-    pub fake_threshold: f64,
-    /// Every k-th periodic recompute is forced through
-    /// [`ReputationSystem::full_rebuild`](mdrep_baselines::ReputationSystem::full_rebuild)
-    /// to bound incremental drift. `None` never forces a full rebuild
-    /// (incremental systems still fall back on their own when too many rows
-    /// are dirty).
-    pub full_rebuild_interval: Option<u32>,
     /// The fault plan driving owner-evaluation retrieval losses (message
     /// loss, churn, partitions), seeded and fully reproducible. `None`
     /// runs fault-free.
@@ -41,10 +28,6 @@ pub struct SimConfig {
     /// Retry budget applied to each owner-evaluation retrieval under the
     /// fault plan (more attempts → lower effective loss).
     pub fault_retry: RetryPolicy,
-    /// Per-viewer evaluation cache on the Eq. 9 query path. `None` (the
-    /// default) queries the store/network on every request; a policy with
-    /// `ttl = 0` is a bypass that counts lookups but changes nothing.
-    pub cache: Option<CachePolicy>,
 }
 
 impl Default for SimConfig {
@@ -52,16 +35,12 @@ impl Default for SimConfig {
         Self {
             upload_slots: 2,
             slot_bandwidth_mib_s: 0.25,
-            recompute_interval: SimDuration::from_hours(12),
             policy: ServicePolicy::default(),
             differentiate_service: true,
             contribution_weight: 0.0,
             filter_fakes: false,
-            fake_threshold: 0.5,
-            full_rebuild_interval: None,
             fault: None,
             fault_retry: RetryPolicy::default(),
-            cache: None,
         }
     }
 }
@@ -75,14 +54,10 @@ mod tests {
         let c = SimConfig::default();
         assert!(c.upload_slots >= 1);
         assert!(c.slot_bandwidth_mib_s > 0.0);
-        assert!(c.recompute_interval > SimDuration::ZERO);
         assert!(c.differentiate_service);
         assert_eq!(c.contribution_weight, 0.0);
         assert!(!c.filter_fakes);
-        assert!((0.0..=1.0).contains(&c.fake_threshold));
-        assert_eq!(c.full_rebuild_interval, None);
         assert!(c.fault.is_none(), "fault-free by default");
         assert!(c.fault_retry.max_attempts >= 1);
-        assert!(c.cache.is_none(), "uncached by default");
     }
 }

@@ -55,9 +55,9 @@ mod queue;
 pub mod replay;
 mod sim;
 
-pub use cache::{run_cache_sweep, CachePolicy, CacheSweepConfig, CacheSweepReport, SweepGossip};
+pub use cache::{run_cache_sweep, CacheReport, CacheSweepConfig, CacheSweepReport, SweepGossip};
 pub use config::SimConfig;
-pub use metrics::{CacheReport, ClassStats, CoveragePoint, FakeStats, FaultReport, SimReport};
+pub use metrics::{ClassStats, CoveragePoint, FakeStats, FaultReport, SimReport};
 pub use queue::{Request, UploaderQueue};
 pub use replay::{run_replay, ReplayConfig, ReplayReport};
 pub use sim::Simulation;

@@ -137,78 +137,6 @@ impl FaultReport {
     }
 }
 
-/// Cache-tier outcomes of a simulation run with a
-/// [`CachePolicy`](crate::CachePolicy) enabled (all-zero otherwise).
-///
-/// The divergence-bounding contract this report carries: every hit's
-/// staleness is bounded by the TTL (`stale_beyond_ttl` must stay 0), and
-/// when hit verification is on, every hit is compared against the
-/// authoritative evaluation store's answer at the same sim tick
-/// (`verified_hits` vs `divergent_hits`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheReport {
-    /// The TTL in force, in ticks (0 = bypass).
-    pub ttl_ticks: u64,
-    /// Cache lookups on the Eq. 9 owner-evaluation path.
-    pub lookups: u64,
-    /// Lookups served from a viewer's cache.
-    pub hits: u64,
-    /// Lookups that went to the network.
-    pub misses: u64,
-    /// Entries filled from network retrievals.
-    pub inserts: u64,
-    /// Entries evicted at or past their expiry tick.
-    pub expired_evictions: u64,
-    /// Entries evicted by capacity pressure.
-    pub lru_evictions: u64,
-    /// Hits whose entry age reached the TTL — always 0 by construction;
-    /// reported (and SLO-gated) rather than assumed.
-    pub stale_beyond_ttl: u64,
-    /// Worst hit age observed, in ticks (strictly < `ttl_ticks`).
-    pub max_staleness_ticks: u64,
-    /// Sum of hit ages in ticks.
-    pub sum_staleness_ticks: u64,
-    /// Hits cross-checked against the authoritative store at the hit tick.
-    pub verified_hits: u64,
-    /// Cross-checked hits whose records diverged from the authoritative
-    /// answer (re-votes or removals inside the TTL window).
-    pub divergent_hits: u64,
-}
-
-impl CacheReport {
-    /// Fraction of lookups served from cache (`0.0` when no lookups — the
-    /// same zero-not-NaN contract as the other rate helpers).
-    #[must_use]
-    pub fn hit_ratio(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups as f64
-        }
-    }
-
-    /// Mean staleness of served hits in ticks (`0.0` with no hits).
-    #[must_use]
-    pub fn mean_staleness_ticks(&self) -> f64 {
-        if self.hits == 0 {
-            0.0
-        } else {
-            self.sum_staleness_ticks as f64 / self.hits as f64
-        }
-    }
-
-    /// Fraction of verified hits that diverged (`0.0` when verification
-    /// was off or nothing was verified).
-    #[must_use]
-    pub fn divergence_rate(&self) -> f64 {
-        if self.verified_hits == 0 {
-            0.0
-        } else {
-            self.divergent_hits as f64 / self.verified_hits as f64
-        }
-    }
-}
-
 /// One point of the coverage-over-time series (the Figure 1 y-axis).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoveragePoint {
@@ -247,8 +175,6 @@ pub struct SimReport {
     pub max_queue_depth: usize,
     /// Fault-layer outcomes (all-zero on fault-free runs).
     pub faults: FaultReport,
-    /// Cache-tier outcomes (all-zero without a cache policy).
-    pub cache: CacheReport,
 }
 
 impl SimReport {
@@ -351,22 +277,6 @@ impl SimReport {
         fold(&self.faults.retrievals.to_le_bytes());
         fold(&self.faults.lost_retrievals.to_le_bytes());
         fold(&self.faults.trace_digest.to_le_bytes());
-        for v in [
-            self.cache.ttl_ticks,
-            self.cache.lookups,
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.inserts,
-            self.cache.expired_evictions,
-            self.cache.lru_evictions,
-            self.cache.stale_beyond_ttl,
-            self.cache.max_staleness_ticks,
-            self.cache.sum_staleness_ticks,
-            self.cache.verified_hits,
-            self.cache.divergent_hits,
-        ] {
-            fold(&v.to_le_bytes());
-        }
         h
     }
 }
@@ -402,20 +312,6 @@ impl fmt::Display for SimReport {
                 self.faults.retrievals,
                 self.faults.success_rate() * 100.0,
                 self.faults.trace_digest,
-            )?;
-        }
-        if self.cache.lookups > 0 {
-            writeln!(
-                f,
-                "  cache: {}/{} hits ({:.1}%), staleness mean {:.1} / max {} ticks (ttl {}), {} divergent of {} verified",
-                self.cache.hits,
-                self.cache.lookups,
-                self.cache.hit_ratio() * 100.0,
-                self.cache.mean_staleness_ticks(),
-                self.cache.max_staleness_ticks,
-                self.cache.ttl_ticks,
-                self.cache.divergent_hits,
-                self.cache.verified_hits,
             )?;
         }
         if !self.class_stats.is_empty() {
@@ -621,42 +517,6 @@ mod tests {
         let mut fault_changed = report.clone();
         fault_changed.faults.trace_digest = 1;
         assert_ne!(d, fault_changed.digest());
-    }
-
-    #[test]
-    fn cache_report_rates_display_and_digest() {
-        let cache = CacheReport {
-            ttl_ticks: 3600,
-            lookups: 100,
-            hits: 85,
-            misses: 15,
-            inserts: 15,
-            sum_staleness_ticks: 850,
-            max_staleness_ticks: 120,
-            verified_hits: 85,
-            divergent_hits: 0,
-            ..CacheReport::default()
-        };
-        assert!((cache.hit_ratio() - 0.85).abs() < 1e-12);
-        assert_eq!(cache.mean_staleness_ticks(), 10.0);
-        assert_eq!(cache.divergence_rate(), 0.0);
-        assert_eq!(CacheReport::default().hit_ratio(), 0.0);
-        assert_eq!(CacheReport::default().mean_staleness_ticks(), 0.0);
-        assert_eq!(CacheReport::default().divergence_rate(), 0.0);
-        let report = SimReport {
-            system: "x",
-            cache,
-            ..SimReport::default()
-        };
-        let shown = report.to_string();
-        assert!(shown.contains("85/100 hits (85.0%)"), "{shown}");
-        assert!(shown.contains("max 120 ticks (ttl 3600)"), "{shown}");
-        // Cache-free reports omit the cache line.
-        assert!(!SimReport::default().to_string().contains("cache:"));
-        // The cache block is digested.
-        let mut changed = report.clone();
-        changed.cache.hits += 1;
-        assert_ne!(report.digest(), changed.digest());
     }
 
     #[test]

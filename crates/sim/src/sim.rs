@@ -1,19 +1,26 @@
 //! The trace-replay simulation loop.
 
-use crate::cache::CachePolicy;
 use crate::config::SimConfig;
-use crate::metrics::{CacheReport, CoveragePoint, FaultReport, SimReport};
+use crate::metrics::{CoveragePoint, FaultReport, SimReport};
 use crate::queue::{Request, Served, UploaderQueue};
 use mdrep::{ContributionLedger, EvaluationStore, OwnerEvaluation, Params};
 use mdrep_baselines::ReputationSystem;
-use mdrep_dht::{FaultInjector, Key, ReputationCache};
-use mdrep_types::{FileId, SimTime, UserId};
+use mdrep_dht::FaultInjector;
+use mdrep_types::{FileId, SimDuration, SimTime, UserId};
 use mdrep_workload::{Behavior, EventKind, Trace};
 use std::collections::HashMap;
 
 /// Maximum owner evaluations consulted per download decision (the DHT
 /// returns a bounded evaluation array in practice).
 const MAX_OWNER_EVALS: usize = 16;
+
+/// How often the reputation system recomputes (and the coverage series
+/// gets a point).
+const RECOMPUTE_INTERVAL: SimDuration = SimDuration::from_hours(12);
+
+/// File-score threshold below which a filtering downloader skips the
+/// download.
+const FAKE_THRESHOLD: f64 = 0.5;
 
 /// Replays a workload trace through a reputation system with
 /// service-differentiated upload queues.
@@ -32,18 +39,6 @@ pub struct Simulation<S: ReputationSystem> {
     injector: Option<FaultInjector>,
     fault_retrievals: u64,
     fault_lost: u64,
-    /// Per-viewer evaluation caches on the Eq. 9 path (empty without a
-    /// [`CachePolicy`]).
-    caches: HashMap<UserId, ReputationCache<Vec<OwnerEvaluation>>>,
-    cache_policy: Option<CachePolicy>,
-    /// Hits whose age reached the TTL — structurally impossible (the cache
-    /// evicts at the expiry tick); measured anyway and SLO-gated.
-    cache_stale_beyond_ttl: u64,
-    /// Hits cross-checked against the authoritative evaluation store at
-    /// the same sim tick.
-    cache_verified: u64,
-    /// Cross-checked hits that diverged from the authoritative answer.
-    cache_divergent: u64,
 }
 
 impl<S: ReputationSystem> Simulation<S> {
@@ -51,7 +46,6 @@ impl<S: ReputationSystem> Simulation<S> {
     #[must_use]
     pub fn new(config: SimConfig, system: S) -> Self {
         let injector = config.fault.clone().map(FaultInjector::new);
-        let cache_policy = config.cache;
         Self {
             config,
             system,
@@ -62,16 +56,11 @@ impl<S: ReputationSystem> Simulation<S> {
             injector,
             fault_retrievals: 0,
             fault_lost: 0,
-            caches: HashMap::new(),
-            cache_policy,
-            cache_stale_beyond_ttl: 0,
-            cache_verified: 0,
-            cache_divergent: 0,
         }
     }
 
     /// Replays the whole trace and returns the report. The reputation
-    /// system is recomputed every `recompute_interval`, which also emits
+    /// system is recomputed every 12 simulated hours, which also emits
     /// one coverage point per interval (the Figure 1 series).
     #[must_use]
     pub fn run(self, trace: &Trace) -> SimReport {
@@ -94,15 +83,13 @@ impl<S: ReputationSystem> Simulation<S> {
         let population = trace.population();
         let mut served_log: Vec<Served> = Vec::new();
 
-        let interval = self.config.recompute_interval;
-        let mut next_recompute = SimTime::ZERO + interval;
+        let mut next_recompute = SimTime::ZERO + RECOMPUTE_INTERVAL;
         // Coverage is measured *at request arrival* against the state of
         // the last periodic recomputation — exactly the question the paper
         // asks: when the request shows up, can the uploader place the
         // downloader in its trust relationship?
         let mut interval_requests = 0usize;
         let mut interval_covered = 0usize;
-        let mut recompute_count = 0u32;
 
         for event in trace.events() {
             report.events_processed += 1;
@@ -127,33 +114,15 @@ impl<S: ReputationSystem> Simulation<S> {
                     series.record("sim.fault.retrievals", tick, self.fault_retrievals as f64);
                     series.record("sim.fault.lost_retrievals", tick, self.fault_lost as f64);
                 }
-                if self.cache_policy.is_some() {
-                    let stats = self.cache_stats();
-                    series.record("sim.cache.hit_ratio", tick, stats.hit_ratio());
-                    series.record(
-                        "sim.cache.max_hit_age_ticks",
-                        tick,
-                        stats.max_hit_age_ticks as f64,
-                    );
-                }
                 interval_requests = 0;
                 interval_covered = 0;
-                recompute_count += 1;
                 {
                     let mut tick_span = mdrep_obs::trace_span("sim.tick.recompute");
                     tick_span.annotate("sim_time_ticks", tick);
-                    match self.config.full_rebuild_interval {
-                        Some(k) if k > 0 && recompute_count.is_multiple_of(k) => {
-                            tick_span.annotate("kind", "full_rebuild");
-                            self.system.full_rebuild(next_recompute);
-                        }
-                        _ => {
-                            tick_span.annotate("kind", "recompute");
-                            self.system.recompute(next_recompute);
-                        }
-                    }
+                    tick_span.annotate("kind", "recompute");
+                    self.system.recompute(next_recompute);
                 }
-                next_recompute += interval;
+                next_recompute += RECOMPUTE_INTERVAL;
             }
 
             match event.kind {
@@ -180,7 +149,7 @@ impl<S: ReputationSystem> Simulation<S> {
                             self.system
                                 .file_score(downloader, file, &owner_evals, event.time);
                         if let Some(score) = score {
-                            if score < self.config.fake_threshold {
+                            if score < FAKE_THRESHOLD {
                                 if authentic {
                                     report.fakes.authentic_rejected += 1;
                                 } else {
@@ -349,41 +318,8 @@ impl<S: ReputationSystem> Simulation<S> {
             };
             obs.gauge_set("sim.fault.success_rate", success);
         }
-        if let Some(policy) = self.cache_policy {
-            let stats = self.cache_stats();
-            report.cache = CacheReport {
-                ttl_ticks: policy.ttl.as_ticks(),
-                lookups: stats.lookups,
-                hits: stats.hits,
-                misses: stats.misses,
-                inserts: stats.inserts,
-                expired_evictions: stats.expired_evictions,
-                lru_evictions: stats.lru_evictions,
-                stale_beyond_ttl: self.cache_stale_beyond_ttl,
-                max_staleness_ticks: stats.max_hit_age_ticks,
-                sum_staleness_ticks: stats.sum_hit_age_ticks,
-                verified_hits: self.cache_verified,
-                divergent_hits: self.cache_divergent,
-            };
-            stats.publish("sim.cache");
-            obs.gauge_set(
-                "sim.cache.stale_beyond_ttl",
-                self.cache_stale_beyond_ttl as f64,
-            );
-            obs.gauge_set("sim.cache.verified_hits", self.cache_verified as f64);
-            obs.gauge_set("sim.cache.divergent_hits", self.cache_divergent as f64);
-        }
 
         (report, self.system)
-    }
-
-    /// Aggregated cache counters across every viewer.
-    fn cache_stats(&self) -> mdrep_dht::CacheStats {
-        let mut total = mdrep_dht::CacheStats::default();
-        for cache in self.caches.values() {
-            total.absorb(&cache.stats());
-        }
-        total
     }
 
     /// The published evaluations of `file` (bounded, as a DHT reply would
@@ -402,38 +338,6 @@ impl<S: ReputationSystem> Simulation<S> {
         file: FileId,
         now: SimTime,
     ) -> Vec<OwnerEvaluation> {
-        // Cache tier: a fresh per-viewer entry answers without touching
-        // the store or the fault layer. Every hit's staleness is bounded
-        // by the TTL, and (when enabled) the hit is cross-checked against
-        // the authoritative store's answer *at this tick* so divergence is
-        // measured, never assumed away.
-        if let Some(policy) = self.cache_policy {
-            let key = Key::for_file(file);
-            let cache = self
-                .caches
-                .entry(viewer)
-                .or_insert_with(|| ReputationCache::new(policy.cache_config()));
-            let hit = cache.get(&key, now).map(|h| (h.value.clone(), h.age));
-            if let Some((cached, age)) = hit {
-                if age >= policy.ttl {
-                    self.cache_stale_beyond_ttl += 1;
-                }
-                if policy.verify_hits {
-                    let authoritative =
-                        authoritative_evaluations(&self.evals, &self.eval_params, file, now);
-                    self.cache_verified += 1;
-                    if cached != authoritative {
-                        self.cache_divergent += 1;
-                    }
-                }
-                let mut query = mdrep_obs::trace_span("sim.eq9.query");
-                query.annotate("file", file);
-                query.annotate("source", "cache");
-                query.annotate("age_ticks", age.as_ticks());
-                query.annotate("owners", cached.len());
-                return cached;
-            }
-        }
         let mut query = mdrep_obs::trace_span("sim.eq9.query");
         query.annotate("file", file);
         let mut attempted = 0u64;
@@ -450,31 +354,7 @@ impl<S: ReputationSystem> Simulation<S> {
                     Some(inj) => {
                         attempted += 1;
                         let dropped = inj.retrieval_lost(viewer, *owner, now, retry);
-                        // Expand the single end-to-end fault decision into
-                        // the attempt tree it stands for: a lost retrieval
-                        // means every retry failed (with its deterministic
-                        // backoff), a delivered one succeeded first try.
-                        // No extra rng draws, so seeded replays are
-                        // unchanged.
-                        let mut rpc = mdrep_obs::trace_span("dht.rpc.find_value");
-                        let attempts = if dropped {
-                            retry.max_attempts.max(1)
-                        } else {
-                            1
-                        };
-                        for attempt in 0..attempts {
-                            let mut a = mdrep_obs::trace_span("dht.rpc.attempt");
-                            a.annotate("attempt", attempt + 1);
-                            if attempt > 0 {
-                                a.annotate("backoff_ticks", retry.backoff_ticks(attempt - 1));
-                            }
-                            a.annotate("outcome", if dropped { "lost" } else { "delivered" });
-                        }
-                        rpc.annotate("attempts", attempts);
-                        rpc.annotate("delivered", !dropped);
-                        if dropped {
-                            lost += 1;
-                        }
+                        lost += u64::from(dropped);
                         !dropped
                     }
                 })
@@ -491,32 +371,8 @@ impl<S: ReputationSystem> Simulation<S> {
         query.annotate("owners", result.len());
         query.annotate("attempted", attempted);
         query.annotate("lost", lost);
-        if self.cache_policy.is_some() {
-            let cache = self.caches.get_mut(&viewer).expect("created on lookup");
-            cache.insert(Key::for_file(file), result.clone(), now);
-        }
         result
     }
-}
-
-/// The authoritative (store-direct, fault-free, unbounded-by-loss) answer
-/// to the Eq. 9 owner-evaluation query at `now` — what the cache's hit
-/// verification compares against.
-fn authoritative_evaluations(
-    evals: &EvaluationStore,
-    params: &Params,
-    file: FileId,
-    now: SimTime,
-) -> Vec<OwnerEvaluation> {
-    evals
-        .evaluators_of(file)
-        .filter_map(|owner| {
-            evals
-                .evaluation(owner, file, now, params)
-                .map(|e| OwnerEvaluation::new(owner, e))
-        })
-        .take(MAX_OWNER_EVALS)
-        .collect()
 }
 
 #[cfg(test)]
@@ -619,41 +475,8 @@ mod tests {
     }
 
     #[test]
-    fn full_rebuild_cadence_does_not_change_results() {
-        let t = trace(0.2, 7);
-        let incremental = Simulation::new(
-            SimConfig::default(),
-            MultiDimensional::new(Params::default()),
-        )
-        .run(&t);
-        let forced = Simulation::new(
-            SimConfig {
-                full_rebuild_interval: Some(1),
-                ..SimConfig::default()
-            },
-            MultiDimensional::new(Params::default()),
-        )
-        .run(&t);
-        // A dirty-row rebuild reproduces a full one bit-for-bit, so
-        // forcing a rebuild every epoch must not move any metric.
-        assert_eq!(incremental.requests, forced.requests);
-        assert_eq!(
-            incremental.coverage_series.len(),
-            forced.coverage_series.len()
-        );
-        for (a, b) in incremental
-            .coverage_series
-            .iter()
-            .zip(&forced.coverage_series)
-        {
-            assert_eq!(a.coverage, b.coverage, "coverage diverged at {:?}", a.time);
-        }
-    }
-
-    #[test]
     fn same_fault_seed_yields_bit_identical_reports() {
         use mdrep_dht::{ChurnSchedule, FaultPlan};
-        use mdrep_types::SimDuration;
         let t = trace(0.4, 11);
         let run = |seed: u64| {
             let config = SimConfig {

@@ -99,78 +99,3 @@ proptest! {
         }
     }
 }
-
-// --- Eq. 9 cache properties (PR: DHT reputation cache + gossip) ---
-
-mod cache_props {
-    use super::*;
-    use mdrep_dht::{ChurnSchedule, FaultPlan, RetryPolicy};
-    use mdrep_sim::{CachePolicy, CacheReport};
-    use mdrep_types::SimDuration;
-
-    fn faulted(cache: Option<CachePolicy>, seed: u64) -> SimConfig {
-        SimConfig {
-            fault: Some(
-                FaultPlan::message_loss(0.1, seed)
-                    .with_churn(ChurnSchedule::new(SimDuration::from_hours(2), 0.1)),
-            ),
-            fault_retry: RetryPolicy::default(),
-            cache,
-            ..SimConfig::default()
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(8))]
-
-        #[test]
-        fn bypass_cache_run_is_bit_identical_to_uncached(trace in trace_strategy(),
-                                                         seed in any::<u64>()) {
-            // TTL = 0 never serves a hit, so the whole run — every fault
-            // draw included — must replay the uncached run bit for bit.
-            let uncached = Simulation::new(
-                faulted(None, seed),
-                MultiDimensional::new(Params::default()),
-            )
-            .run(&trace);
-            let mut bypassed = Simulation::new(
-                faulted(Some(CachePolicy::bypass()), seed),
-                MultiDimensional::new(Params::default()),
-            )
-            .run(&trace);
-            prop_assert_eq!(bypassed.faults.trace_digest, uncached.faults.trace_digest);
-            prop_assert_eq!(bypassed.cache.hits, 0);
-            prop_assert_eq!(bypassed.cache.misses, bypassed.cache.lookups);
-            // Once the (pure-counter) cache block is ignored, the reports
-            // digest identically.
-            bypassed.cache = CacheReport::default();
-            prop_assert_eq!(bypassed.digest(), uncached.digest());
-        }
-
-        #[test]
-        fn cached_hits_stay_within_ttl_and_never_go_stale(trace in trace_strategy(),
-                                                          seed in any::<u64>(),
-                                                          ttl_mins in 1u64..240) {
-            let policy = CachePolicy {
-                ttl: SimDuration::from_mins(ttl_mins),
-                ..CachePolicy::default()
-            };
-            let report = Simulation::new(
-                faulted(Some(policy), seed),
-                MultiDimensional::new(Params::default()),
-            )
-            .run(&trace);
-            prop_assert_eq!(report.cache.stale_beyond_ttl, 0, "evicted exactly at expiry");
-            if report.cache.hits > 0 {
-                prop_assert!(
-                    report.cache.max_staleness_ticks < report.cache.ttl_ticks,
-                    "worst hit age {} must stay below ttl {}",
-                    report.cache.max_staleness_ticks,
-                    report.cache.ttl_ticks
-                );
-            }
-            prop_assert_eq!(report.cache.verified_hits, report.cache.hits);
-            prop_assert_eq!(report.cache.hits + report.cache.misses, report.cache.lookups);
-        }
-    }
-}

@@ -9,8 +9,8 @@
 //!   time, and
 //! - replay bit-identically from its seed (report and fault digest).
 
-use mdrep_repro::dht::{ChurnSchedule, FaultPlan, Partition};
-use mdrep_repro::sim::{run_cache_sweep, CachePolicy, CacheSweepConfig, CacheSweepReport};
+use mdrep_repro::dht::{CacheConfig, ChurnSchedule, FaultPlan, Partition};
+use mdrep_repro::sim::{run_cache_sweep, CacheSweepConfig, CacheSweepReport};
 use mdrep_repro::types::{SimDuration, SimTime};
 
 const SEEDS: [u64; 3] = [101, 202, 303];
@@ -25,9 +25,9 @@ fn matrix_config(seed: u64, plan: FaultPlan) -> CacheSweepConfig {
         queries: 16_000,
         viewer_zipf: 1.8,
         file_zipf: 1.5,
-        policy: CachePolicy {
+        cache: CacheConfig {
             capacity: 1024,
-            ..CachePolicy::default()
+            ttl: SimDuration::from_hours(1),
         },
         fault: Some(plan),
         seed,

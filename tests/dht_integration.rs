@@ -12,8 +12,7 @@ use mdrep_repro::types::{Evaluation, FileId, FileSize, SimDuration, SimTime, Use
 
 fn overlay(n: u64, loss: f64, seed: u64) -> (Dht, KeyRegistry) {
     let mut dht = Dht::new(DhtConfig {
-        message_loss: loss,
-        seed,
+        fault: FaultPlan::message_loss(loss, seed),
         ..DhtConfig::default()
     });
     let mut registry = KeyRegistry::new();
