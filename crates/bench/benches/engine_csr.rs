@@ -95,38 +95,41 @@ fn csr_pipeline(
 }
 
 /// The frozen pipeline wrapped in the per-epoch span tree the engine
-/// records: an epoch root with one child per phase. Matches the real
+/// records, under the engine's span names: an epoch root, one child per
+/// phase, and Eq. 2's pair pass inside the FM build. Matches the real
 /// instrumentation density so the overhead gate measures what production
-/// runs pay.
+/// runs pay. The spans go to the global tracer directly, not through
+/// phases, so the gate times the tracer alone.
 fn traced_csr_pipeline(
     raw: &(SparseMatrix, SparseMatrix, SparseMatrix),
     n: u32,
     threads: usize,
 ) -> CsrMatrix {
     let (a, b, g) = WEIGHTS;
-    let mut epoch = mdrep_obs::trace_span("engine.recompute.epoch");
+    let tracer = mdrep_obs::tracer();
+    let mut epoch = tracer.span("engine.recompute.total");
     epoch.annotate("mode", "full");
     let index = {
-        let _s = mdrep_obs::trace_span("engine.recompute.dirty_expand");
+        let _s = tracer.span("engine.recompute.dirty_expand");
         Arc::new(UserIndex::from_matrices(&[&raw.0, &raw.1, &raw.2]))
     };
     let fm = {
-        let _s = mdrep_obs::trace_span("engine.recompute.fm_build");
+        let _s = tracer.span("engine.recompute.fm_build");
+        let _pairs = tracer.span("engine.eq2.pairs");
         CsrMatrix::freeze_normalized_with(&index, &raw.0)
     };
-    let dm = {
-        let _s = mdrep_obs::trace_span("engine.recompute.dm_build");
-        CsrMatrix::freeze_normalized_with(&index, &raw.1)
-    };
-    let um = {
-        let _s = mdrep_obs::trace_span("engine.recompute.um_build");
-        CsrMatrix::freeze_normalized_with(&index, &raw.2)
+    let (dm, um) = {
+        let _s = tracer.span("engine.recompute.integrate");
+        (
+            CsrMatrix::freeze_normalized_with(&index, &raw.1),
+            CsrMatrix::freeze_normalized_with(&index, &raw.2),
+        )
     };
     let tm = {
-        let _s = mdrep_obs::trace_span("engine.recompute.integrate");
+        let _s = tracer.span("engine.recompute.merge");
         blend_frozen(&[(a, &fm), (b, &dm), (g, &um)], threads).expect("valid weights")
     };
-    let _s = mdrep_obs::trace_span("engine.recompute.matrix_power");
+    let _s = tracer.span("engine.recompute.matrix_power");
     tm.power(n, PowerOptions::exact(), threads)
 }
 

@@ -14,10 +14,11 @@
 //! - zero hits diverging from the authoritative store at fill time;
 //! - the row replays bit-identically (report + fault digest) from its seed.
 //!
-//! The gated row also exports `dht.cache.*` counters and re-checks the
-//! same bounds declaratively through an [`mdrep_obs::SloWatchdog`]
-//! (counter-ratio and counter-max SLOs), so the telemetry path is gated
-//! too, not just the in-process numbers.
+//! The gated row also exports the model's counters as `sim.cache_sweep.*`
+//! (not the tier's `dht.cache.*` names) and re-checks the same bounds
+//! declaratively through an [`mdrep_obs::SloWatchdog`] (counter-ratio and
+//! counter-max SLOs), so the telemetry path is gated too, not just the
+//! in-process numbers.
 //!
 //! `--bounded` runs only the gated 10k row (the CI `cache-gate` job);
 //! the full run adds 30k/100k scale rows and a TTL sweep.
@@ -83,29 +84,38 @@ fn add_row(table: &mut Table, label: &str, report: &CacheSweepReport) {
 /// declarative SLO watchdog. Returns whether every SLO holds.
 fn check_slos(report: &CacheSweepReport, min_hit_ratio: f64) -> bool {
     let obs = mdrep_obs::global();
-    obs.counter_add("dht.cache.lookups", report.cache.lookups);
-    obs.counter_add("dht.cache.hits", report.cache.hits);
-    obs.counter_add("dht.cache.misses", report.cache.misses);
-    obs.counter_add("dht.cache.stale_beyond_ttl", report.cache.stale_beyond_ttl);
-    obs.counter_add("dht.cache.divergent_hits", report.cache.divergent_hits);
-    obs.counter_add("dht.cache.gossip.prefills", report.gossip_prefills);
-    obs.gauge_set("dht.cache.steady_hit_ratio", report.steady_hit_ratio());
+    obs.counter_add("sim.cache_sweep.lookups", report.cache.lookups);
+    obs.counter_add("sim.cache_sweep.hits", report.cache.hits);
+    obs.counter_add("sim.cache_sweep.misses", report.cache.misses);
+    obs.counter_add(
+        "sim.cache_sweep.stale_beyond_ttl",
+        report.cache.stale_beyond_ttl,
+    );
+    obs.counter_add(
+        "sim.cache_sweep.divergent_hits",
+        report.cache.divergent_hits,
+    );
+    obs.counter_add("sim.cache_sweep.gossip.prefills", report.gossip_prefills);
+    obs.gauge_set(
+        "sim.cache_sweep.steady_hit_ratio",
+        report.steady_hit_ratio(),
+    );
 
     let watchdog = mdrep_obs::SloWatchdog::new()
         .with(mdrep_obs::Slo::counter_ratio_min(
             "cache-hit-ratio",
-            "dht.cache.hits",
-            "dht.cache.lookups",
+            "sim.cache_sweep.hits",
+            "sim.cache_sweep.lookups",
             min_hit_ratio,
         ))
         .with(mdrep_obs::Slo::counter_max(
             "cache-stale-serves",
-            "dht.cache.stale_beyond_ttl",
+            "sim.cache_sweep.stale_beyond_ttl",
             0,
         ))
         .with(mdrep_obs::Slo::counter_max(
             "cache-divergence",
-            "dht.cache.divergent_hits",
+            "sim.cache_sweep.divergent_hits",
             0,
         ));
     let violations = watchdog.evaluate(

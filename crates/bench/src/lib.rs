@@ -122,40 +122,27 @@ pub fn arg_value(flag: &str) -> Option<String> {
 }
 
 /// Honors the telemetry output flags on the experiment binary's command
-/// line. Every `exp_*` binary calls this after its tables, so telemetry
-/// lands next to the CSVs:
+/// line through [`mdrep_obs::export`]. Every `exp_*` binary calls this
+/// after its tables, so telemetry lands next to the CSVs:
 ///
 /// - `--metrics-out PATH` — the global instrumentation registry
-///   (per-phase `engine.recompute.*` timings, `dht.lookup.*` counters,
-///   `sim.run.events_per_sec`) as JSON.
+///   (per-phase `engine.recompute.*` and `dht.*.op` timings,
+///   `dht.lookup.*` counters, `sim.run.events_per_sec`) as JSON.
 /// - `--trace-out PATH` — the global causal trace in Chrome Trace Event
 ///   Format (load in `chrome://tracing` or Perfetto).
 /// - `--series-out PATH` — the global sim-time series, as CSV when the
 ///   path ends in `.csv`, else as JSON.
+///
+/// A failed write warns and the binary carries on, so a long run's tables
+/// are not lost.
 pub fn write_metrics_if_requested() {
-    if let Some(path) = arg_value("--metrics-out") {
-        let json = mdrep_obs::global().snapshot().to_json();
-        match fs::write(&path, json) {
-            Ok(()) => println!("(metrics: {path})"),
-            Err(err) => eprintln!("warning: could not write metrics to {path}: {err}"),
-        }
-    }
-    if let Some(path) = arg_value("--trace-out") {
-        match fs::write(&path, mdrep_obs::tracer().to_chrome_json()) {
-            Ok(()) => println!("(trace: {path})"),
-            Err(err) => eprintln!("warning: could not write trace to {path}: {err}"),
-        }
-    }
-    if let Some(path) = arg_value("--series-out") {
-        let series = mdrep_obs::series();
-        let body = if path.ends_with(".csv") {
-            series.to_csv()
-        } else {
-            series.to_json()
-        };
-        match fs::write(&path, body) {
-            Ok(()) => println!("(series: {path})"),
-            Err(err) => eprintln!("warning: could not write series to {path}: {err}"),
+    for file in mdrep_obs::export(|flag| arg_value(&format!("--{flag}"))) {
+        match file.result {
+            Ok(()) => println!("({}: {})", file.what, file.path),
+            Err(err) => eprintln!(
+                "warning: could not write {} to {}: {err}",
+                file.what, file.path
+            ),
         }
     }
 }

@@ -32,50 +32,15 @@ pub fn run(args: &Arguments, out: &mut dyn Write) -> Result<(), ArgError> {
         Command::DhtDemo => dht_demo_command(args, out),
         Command::Community => community_command(args, out),
     };
-    write_metrics(args)?;
-    write_trace(args)?;
-    write_series(args)?;
+    // `--metrics-out`, `--trace-out` and `--series-out`: the telemetry
+    // the command collected, written next to whatever it printed.
+    let requested = |flag: &str| Some(args.get_str(flag, "")).filter(|path| !path.is_empty());
+    for file in mdrep_obs::export(requested) {
+        file.result.map_err(|e| {
+            ArgError::new(format!("cannot write {} to {}: {e}", file.what, file.path))
+        })?;
+    }
     result
-}
-
-/// Honors `--metrics-out PATH`: dumps the global instrumentation registry
-/// as JSON next to whatever the command printed.
-fn write_metrics(args: &Arguments) -> Result<(), ArgError> {
-    let path = args.get_str("metrics-out", "");
-    if path.is_empty() {
-        return Ok(());
-    }
-    let json = mdrep_obs::global().snapshot().to_json();
-    std::fs::write(&path, json)
-        .map_err(|e| ArgError::new(format!("cannot write metrics to {path}: {e}")))
-}
-
-/// Honors `--trace-out PATH`: dumps the global causal trace in Chrome
-/// Trace Event Format (open in `chrome://tracing` or Perfetto).
-fn write_trace(args: &Arguments) -> Result<(), ArgError> {
-    let path = args.get_str("trace-out", "");
-    if path.is_empty() {
-        return Ok(());
-    }
-    std::fs::write(&path, mdrep_obs::tracer().to_chrome_json())
-        .map_err(|e| ArgError::new(format!("cannot write trace to {path}: {e}")))
-}
-
-/// Honors `--series-out PATH`: dumps the global sim-time series, as CSV
-/// when the path ends in `.csv`, else as JSON.
-fn write_series(args: &Arguments) -> Result<(), ArgError> {
-    let path = args.get_str("series-out", "");
-    if path.is_empty() {
-        return Ok(());
-    }
-    let series = mdrep_obs::series();
-    let body = if path.ends_with(".csv") {
-        series.to_csv()
-    } else {
-        series.to_json()
-    };
-    std::fs::write(&path, body)
-        .map_err(|e| ArgError::new(format!("cannot write series to {path}: {e}")))
 }
 
 fn build_workload(args: &Arguments) -> Result<Trace, ArgError> {

@@ -446,7 +446,6 @@ impl ReputationEngine {
         // stalled epoch can be blamed on its slowest phase in the exported
         // span tree.
         let mut epoch = mdrep_obs::phase("engine.recompute.total");
-        obs.counter_inc("engine.recompute.count");
 
         let mode = {
             let _phase = mdrep_obs::phase("engine.recompute.dirty_expand");

@@ -146,9 +146,9 @@ pub fn file_reputation_batch(
     evaluations: &[OwnerEvaluation],
 ) -> Vec<Option<Evaluation>> {
     mdrep_obs::global().counter_add("engine.file_reputation.count", viewers.len() as u64);
-    let mut trace = mdrep_obs::trace_span("engine.eq9.gather");
-    trace.annotate("viewers", viewers.len());
-    trace.annotate("owners", evaluations.len());
+    let mut phase = mdrep_obs::phase("engine.eq9.gather");
+    phase.annotate("viewers", viewers.len());
+    phase.annotate("owners", evaluations.len());
     let matrix = rm.matrix();
     let owners: Vec<UserId> = evaluations.iter().map(|oe| oe.owner).collect();
     let set = matrix.column_set(&owners);

@@ -116,34 +116,6 @@ impl CacheStats {
         self.sum_hit_age_ticks += other.sum_hit_age_ticks;
         self.max_hit_age_ticks = self.max_hit_age_ticks.max(other.max_hit_age_ticks);
     }
-
-    /// Exports the counters as gauges under `prefix` (e.g. `dht.cache`) on
-    /// the global [`mdrep_obs`] registry, plus the derived
-    /// `<prefix>.hit_ratio`.
-    pub fn publish(&self, prefix: &str) {
-        let obs = mdrep_obs::global();
-        obs.gauge_set(&format!("{prefix}.lookups"), self.lookups as f64);
-        obs.gauge_set(&format!("{prefix}.hits"), self.hits as f64);
-        obs.gauge_set(&format!("{prefix}.misses"), self.misses as f64);
-        obs.gauge_set(
-            &format!("{prefix}.expired_misses"),
-            self.expired_misses as f64,
-        );
-        obs.gauge_set(&format!("{prefix}.inserts"), self.inserts as f64);
-        obs.gauge_set(
-            &format!("{prefix}.lru_evictions"),
-            self.lru_evictions as f64,
-        );
-        obs.gauge_set(
-            &format!("{prefix}.expired_evictions"),
-            self.expired_evictions as f64,
-        );
-        obs.gauge_set(&format!("{prefix}.hit_ratio"), self.hit_ratio());
-        obs.gauge_set(
-            &format!("{prefix}.max_hit_age_ticks"),
-            self.max_hit_age_ticks as f64,
-        );
-    }
 }
 
 /// A successful lookup: the cached value plus exactly how stale it is.

@@ -108,6 +108,36 @@ impl MessageStats {
     pub fn is_conserved(&self) -> bool {
         self.total() == self.delivered + self.dropped + self.refused + self.blocked + self.timed_out
     }
+
+    /// The messages counted since `earlier`, a snapshot of the same
+    /// counters taken before.
+    fn since(&self, earlier: &MessageStats) -> MessageStats {
+        MessageStats {
+            find_node: self.find_node - earlier.find_node,
+            store: self.store - earlier.store,
+            find_value: self.find_value - earlier.find_value,
+            gossip: self.gossip - earlier.gossip,
+            delivered: self.delivered - earlier.delivered,
+            dropped: self.dropped - earlier.dropped,
+            refused: self.refused - earlier.refused,
+            blocked: self.blocked - earlier.blocked,
+            timed_out: self.timed_out - earlier.timed_out,
+            retried: self.retried - earlier.retried,
+            duplicated: self.duplicated - earlier.duplicated,
+        }
+    }
+}
+
+/// Annotates an overlay operation's phase with the fate of the RPCs it
+/// sent: the messages it sent (retries included), how many were lost,
+/// blocked, timed out or refused, and how many were retries.
+fn annotate_rpcs(phase: &mut mdrep_obs::Phase, rpcs: &MessageStats) {
+    phase.annotate("sent", rpcs.total());
+    phase.annotate("lost", rpcs.dropped);
+    phase.annotate("blocked", rpcs.blocked);
+    phase.annotate("timed_out", rpcs.timed_out);
+    phase.annotate("refused", rpcs.refused);
+    phase.annotate("retries", rpcs.retried);
 }
 
 /// The result of a [`Dht::get`]: the retrieved values plus an explicit
@@ -438,9 +468,9 @@ impl Dht {
         data: Vec<u8>,
         now: SimTime,
     ) -> Result<usize, DhtError> {
-        mdrep_obs::global().counter_inc("dht.store.count");
-        let mut trace = mdrep_obs::trace_span("dht.store.op");
+        let mut phase = mdrep_obs::phase("dht.store.op");
         let origin = self.require_online(publisher)?;
+        let before = self.stats;
         let targets = self.iterative_find(origin, key, now).alive;
         let mut stored = 0;
         for (_, target) in targets.iter().take(self.config.replication) {
@@ -466,7 +496,8 @@ impl Dht {
         let publications = self.publications.entry(publisher).or_default();
         publications.retain(|(k, _)| *k != key);
         publications.push((key, data));
-        trace.annotate("replicas", stored);
+        phase.annotate("replicas", stored);
+        annotate_rpcs(&mut phase, &self.stats.since(&before));
         if stored == 0 {
             return Err(DhtError::NoReachableNodes);
         }
@@ -488,9 +519,9 @@ impl Dht {
         key: Key,
         now: SimTime,
     ) -> Result<GetOutcome, DhtError> {
-        mdrep_obs::global().counter_inc("dht.get.count");
-        let mut trace = mdrep_obs::trace_span("dht.get.op");
+        let mut phase = mdrep_obs::phase("dht.get.op");
         let origin = self.require_online(requester)?;
+        let before = self.stats;
         // Contact the closest *discovered* nodes, responsive or not: an
         // unresponsive replica holder must surface as `unreachable`, not
         // silently vanish from the owner list.
@@ -499,6 +530,8 @@ impl Dht {
         targets.extend(lookup.failed);
         targets.sort_unstable_by_key(|&(d, _)| d);
         targets.dedup_by_key(|&mut (d, _)| d);
+        // `GetOutcome::retries` counts the replica RPCs' retries; the
+        // phase's annotations count the lookup's too.
         let retries_before = self.stats.retried;
         let mut outcome = GetOutcome::default();
         let mut seen = BTreeSet::new();
@@ -530,9 +563,9 @@ impl Dht {
             }
         }
         outcome.retries = self.stats.retried - retries_before;
-        trace.annotate("values", outcome.values.len());
-        trace.annotate("unreachable", outcome.unreachable.len());
-        trace.annotate("retries", outcome.retries);
+        phase.annotate("values", outcome.values.len());
+        phase.annotate("unreachable", outcome.unreachable.len());
+        annotate_rpcs(&mut phase, &self.stats.since(&before));
         if !outcome.unreachable.is_empty() {
             mdrep_obs::global().counter_add(
                 "dht.get.unreachable_owners",
@@ -569,7 +602,7 @@ impl Dht {
     /// pass after it comes back — republication survives churn rather than
     /// silently skipping a cycle.
     pub fn republish_batch(&mut self, now: SimTime, interval: SimDuration) -> RepublishReport {
-        let mut trace = mdrep_obs::trace_span("dht.republish.batch");
+        let mut phase = mdrep_obs::phase("dht.republish.batch");
         let mut publishers: Vec<UserId> = self.publications.keys().copied().collect();
         publishers.sort_unstable();
         let mut report = RepublishReport::default();
@@ -593,9 +626,9 @@ impl Dht {
             report.refreshed += refreshed;
             self.last_republished.insert(user, now);
         }
-        trace.annotate("due", report.due);
-        trace.annotate("refreshed", report.refreshed);
-        trace.annotate("skipped_offline", report.skipped_offline);
+        phase.annotate("due", report.due);
+        phase.annotate("refreshed", report.refreshed);
+        phase.annotate("skipped_offline", report.skipped_offline);
         report
     }
 
@@ -611,8 +644,8 @@ impl Dht {
         mut payloads: Vec<Vec<u8>>,
         now: SimTime,
     ) -> GossipDelivery {
-        let mut trace = mdrep_obs::trace_span("dht.gossip.push");
-        trace.annotate("records", payloads.len());
+        let mut phase = mdrep_obs::phase("dht.gossip.push");
+        phase.annotate("records", payloads.len());
         self.stats.gossip += 1;
         let online = self.is_online(to);
         match self.injector.next_outcome(
@@ -623,29 +656,29 @@ impl Dht {
             self.config.retry.timeout_ticks,
         ) {
             RpcOutcome::Blocked => {
-                trace.annotate("outcome", "blocked");
+                phase.annotate("outcome", "blocked");
                 self.stats.blocked += 1;
                 GossipDelivery::Failed
             }
             RpcOutcome::Lost => {
-                trace.annotate("outcome", "lost");
+                phase.annotate("outcome", "lost");
                 self.stats.dropped += 1;
                 GossipDelivery::Failed
             }
             RpcOutcome::TimedOut => {
                 // A push delayed past the timeout window carries records
                 // whose freshness window it has outlived: dropped.
-                trace.annotate("outcome", "timed_out");
+                phase.annotate("outcome", "timed_out");
                 self.stats.timed_out += 1;
                 GossipDelivery::Failed
             }
             RpcOutcome::Delivered { duplicated } => {
                 if !online {
-                    trace.annotate("outcome", "refused");
+                    phase.annotate("outcome", "refused");
                     self.stats.refused += 1;
                     return GossipDelivery::Failed;
                 }
-                trace.annotate("outcome", "delivered");
+                phase.annotate("outcome", "delivered");
                 self.stats.delivered += 1;
                 if duplicated {
                     self.stats.duplicated += 1;
@@ -699,16 +732,7 @@ impl Dht {
         from: UserId,
         target: NodeId,
         now: SimTime,
-        attempt: u32,
     ) -> Attempt {
-        let mut trace = mdrep_obs::trace_span("dht.rpc.attempt");
-        trace.annotate("attempt", attempt + 1);
-        if attempt > 0 {
-            trace.annotate(
-                "backoff_ticks",
-                self.config.retry.backoff_ticks(attempt - 1),
-            );
-        }
         match kind {
             RpcKind::FindNode => self.stats.find_node += 1,
             RpcKind::Store => self.stats.store += 1,
@@ -725,17 +749,14 @@ impl Dht {
             .next_outcome(kind, from, to_user, now, self.config.retry.timeout_ticks)
         {
             RpcOutcome::Blocked => {
-                trace.annotate("outcome", "blocked");
                 self.stats.blocked += 1;
                 Attempt::Fail { late_store: false }
             }
             RpcOutcome::Lost => {
-                trace.annotate("outcome", "lost");
                 self.stats.dropped += 1;
                 Attempt::Fail { late_store: false }
             }
             RpcOutcome::TimedOut => {
-                trace.annotate("outcome", "timed_out");
                 self.stats.timed_out += 1;
                 // The request reached an online receiver late: a STORE's
                 // side effect lands, only the acknowledgement is missing.
@@ -745,11 +766,9 @@ impl Dht {
             }
             RpcOutcome::Delivered { duplicated } => {
                 if !online {
-                    trace.annotate("outcome", "refused");
                     self.stats.refused += 1;
                     return Attempt::Fail { late_store: false };
                 }
-                trace.annotate("outcome", "delivered");
                 self.stats.delivered += 1;
                 if duplicated {
                     self.stats.duplicated += 1;
@@ -769,14 +788,10 @@ impl Dht {
         target: NodeId,
         now: SimTime,
     ) -> RpcResult {
-        let mut trace = mdrep_obs::trace_span("dht.rpc.call");
-        trace.annotate("kind", kind.name());
         let max_attempts = self.config.retry.max_attempts.max(1);
         let mut late_store = false;
         let mut delivered = false;
-        let mut attempts_used = 0;
         for attempt in 0..max_attempts {
-            attempts_used = attempt + 1;
             if attempt > 0 {
                 self.stats.retried += 1;
                 let obs = mdrep_obs::global();
@@ -786,7 +801,7 @@ impl Dht {
                     self.config.retry.backoff_ticks(attempt - 1),
                 );
             }
-            match self.attempt_rpc(kind, from, target, now, attempt) {
+            match self.attempt_rpc(kind, from, target, now) {
                 Attempt::Ok => {
                     delivered = true;
                     break;
@@ -794,8 +809,6 @@ impl Dht {
                 Attempt::Fail { late_store: late } => late_store |= late,
             }
         }
-        trace.annotate("attempts", attempts_used);
-        trace.annotate("delivered", delivered);
         RpcResult {
             delivered,
             late_store,
@@ -806,13 +819,12 @@ impl Dht {
     /// closest online nodes discovered, nearest first. Queries that fail
     /// after retries evict the target from the origin's routing table.
     ///
-    /// Reports `dht.lookup.count`, per-round `dht.lookup.hops`, and
-    /// `dht.lookup.timeouts` (lost, blocked, or refused queries) to the
-    /// global [`mdrep_obs`] registry.
+    /// Runs as the `dht.lookup.time` phase, and reports per-round
+    /// `dht.lookup.hops` and `dht.lookup.timeouts` (lost, blocked, or
+    /// refused queries) to the global [`mdrep_obs`] registry.
     fn iterative_find(&mut self, origin: NodeId, key: Key, now: SimTime) -> LookupResult {
         let obs = mdrep_obs::global();
         let mut phase = mdrep_obs::phase("dht.lookup.time");
-        obs.counter_inc("dht.lookup.count");
         let mut hops = 0u64;
         let mut timeouts = 0u64;
         let origin_user = self

@@ -33,17 +33,6 @@ pub enum RpcKind {
 }
 
 impl RpcKind {
-    /// Lowercase wire name, used as a trace-span annotation.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::FindNode => "find_node",
-            Self::Store => "store",
-            Self::FindValue => "find_value",
-            Self::Gossip => "gossip",
-        }
-    }
-
     fn code(self) -> u8 {
         match self {
             Self::FindNode => 1,

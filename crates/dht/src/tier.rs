@@ -426,40 +426,6 @@ impl EvaluationCacheTier {
     pub fn cache_of(&self, user: UserId) -> Option<&ReputationCache<Vec<VerifiedEvaluation>>> {
         self.caches.get(&user)
     }
-
-    /// Exports the tier counters as `dht.cache.*` gauges on the global
-    /// [`mdrep_obs`] registry (call before a metrics snapshot).
-    pub fn publish_metrics(&self) {
-        self.cache_stats().publish("dht.cache");
-        let obs = mdrep_obs::global();
-        obs.gauge_set(
-            "dht.cache.unreachable_holders",
-            self.unreachable_holders as f64,
-        );
-        obs.gauge_set(
-            "dht.cache.uncacheable_partial",
-            self.uncacheable_partial as f64,
-        );
-        obs.gauge_set("dht.cache.gossip.pushes", self.gossip.pushes as f64);
-        obs.gauge_set("dht.cache.gossip.delivered", self.gossip.delivered as f64);
-        obs.gauge_set("dht.cache.gossip.failed", self.gossip.failed as f64);
-        obs.gauge_set(
-            "dht.cache.gossip.records_accepted",
-            self.gossip.records_accepted as f64,
-        );
-        obs.gauge_set(
-            "dht.cache.gossip.records_duplicate",
-            self.gossip.records_duplicate as f64,
-        );
-        obs.gauge_set(
-            "dht.cache.gossip.records_rejected",
-            self.gossip.records_rejected as f64,
-        );
-        obs.gauge_set(
-            "dht.cache.gossip.records_undecodable",
-            self.gossip.records_undecodable as f64,
-        );
-    }
 }
 
 #[cfg(test)]

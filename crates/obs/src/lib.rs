@@ -6,8 +6,8 @@
 //! * **Counters** — monotonically increasing `u64` values that saturate
 //!   instead of wrapping ([`Registry::counter_add`]).
 //! * **Gauges** — last-write-wins `f64` values ([`Registry::gauge_set`]).
-//! * **Timers** — aggregated durations (count/total/min/max) fed either by
-//!   RAII [`Span`] guards ([`Registry::span`]) or directly
+//! * **Timers** — aggregated durations (count/total/min/max), fed by
+//!   [`phase`] guards on the [`global`] registry or directly
 //!   ([`Registry::record_duration`]).
 //! * **Histograms** — fixed upper-bound buckets plus an implicit `+inf`
 //!   overflow bucket ([`Registry::histogram_record`]).
@@ -20,8 +20,13 @@
 //! ([`Registry::set_enabled`]) turns every record call into an atomic load
 //! and an early return.
 //!
-//! A hot-path phase opens one [`phase`] guard, feeding both the registry
-//! timer and the trace ring under one name.
+//! Every traced layer of the workspace opens one [`phase`] guard, which
+//! feeds both a [`global`] registry timer and a [`tracer`] span under one
+//! name. With both enabled, each span name the tracer holds therefore has
+//! a timer with the same count; a bare [`Tracer::span`] is for local
+//! tracers in tests and benches. [`export`] writes the global registry,
+//! tracer and series to the files the `--metrics-out`, `--trace-out` and
+//! `--series-out` flags name.
 //!
 //! Three sibling layers cover what aggregates can't:
 //!
@@ -45,16 +50,20 @@
 //! use std::time::Duration;
 //!
 //! let registry = Registry::new();
-//! registry.counter_add("dht.lookup.count", 1);
+//! registry.counter_add("dht.lookup.timeouts", 1);
 //! registry.gauge_set("engine.tm.density", 0.25);
 //! registry.record_duration("engine.recompute.total", Duration::from_millis(12));
+//! let snap = registry.snapshot();
+//! assert_eq!(snap.counter("dht.lookup.timeouts"), Some(1));
+//! assert!(snap.to_json().contains("engine.recompute.total"));
+//!
 //! {
-//!     let _span = registry.span("engine.recompute.fm_build");
+//!     let mut phase = mdrep_obs::phase("engine.recompute.fm_build");
+//!     phase.annotate("rows", 12);
 //!     // ... timed work ...
 //! }
-//! let snap = registry.snapshot();
-//! assert_eq!(snap.counter("dht.lookup.count"), Some(1));
-//! assert!(snap.to_json().contains("engine.recompute.fm_build"));
+//! let snap = mdrep_obs::global().snapshot();
+//! assert_eq!(snap.timer("engine.recompute.fm_build").map(|t| t.count), Some(1));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -66,7 +75,7 @@ pub mod trace;
 
 pub use slo::{Slo, SloBound, SloViolation, SloWatchdog};
 pub use timeseries::{series, TimeSeries};
-pub use trace::{trace_span, tracer, SpanId, TraceEvent, TraceSpan, Tracer, TracerStats};
+pub use trace::{tracer, SpanId, TraceEvent, TraceSpan, Tracer, TracerStats};
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -333,22 +342,6 @@ impl Registry {
         }
     }
 
-    /// Starts an RAII span: the elapsed wall time between this call and the
-    /// guard's drop is recorded into the named timer. When the registry is
-    /// disabled at construction, the guard records nothing on drop.
-    #[must_use]
-    pub fn span(&self, name: &'static str) -> Span<'_> {
-        let start = self.is_enabled().then(Instant::now);
-        if start.is_some() {
-            debug_check_name(name);
-        }
-        Span {
-            registry: self,
-            name,
-            start,
-        }
-    }
-
     /// A point-in-time copy of every metric.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
@@ -412,40 +405,6 @@ fn entry_or_default<'m, V: Default>(map: &'m mut BTreeMap<String, V>, name: &str
     map.get_mut(name).expect("just inserted")
 }
 
-/// RAII timer guard produced by [`Registry::span`].
-///
-/// Dropping the guard records the elapsed time. [`Span::elapsed`] exposes
-/// the running value for callers that also want it as a gauge.
-#[derive(Debug)]
-pub struct Span<'r> {
-    registry: &'r Registry,
-    name: &'static str,
-    start: Option<Instant>,
-}
-
-impl Span<'_> {
-    /// Wall time since the span started (zero when the registry was
-    /// disabled at construction).
-    #[must_use]
-    pub fn elapsed(&self) -> Duration {
-        self.start.map_or(Duration::ZERO, |s| s.elapsed())
-    }
-
-    /// The timer name this span records into.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            self.registry.record_duration(self.name, start.elapsed());
-        }
-    }
-}
-
 /// The process-wide registry fed by the engine, simulator, and DHT.
 ///
 /// Enabled by default; call `global().set_enabled(false)` to turn the
@@ -457,19 +416,24 @@ pub fn global() -> &'static Registry {
 
 /// Starts one phase: a [`global`] registry timer and a [`tracer`] span
 /// under the same `name`, both closed when the guard drops — so the
-/// aggregate and the causal view always name the same phases.
+/// aggregate and the causal view always name the same phases, each with
+/// the same count.
 #[must_use]
 pub fn phase(name: &'static str) -> Phase {
+    let start = global().is_enabled().then(Instant::now);
     Phase {
-        _timer: global().span(name),
-        trace: trace_span(name),
+        name,
+        start,
+        trace: tracer().span(name),
     }
 }
 
 /// RAII guard produced by [`phase`]; the timer closes first, then the span.
+/// A phase started while the registry was disabled records no timer.
 #[derive(Debug)]
 pub struct Phase {
-    _timer: Span<'static>,
+    name: &'static str,
+    start: Option<Instant>,
     trace: TraceSpan<'static>,
 }
 
@@ -479,6 +443,58 @@ impl Phase {
     pub fn annotate(&mut self, key: &'static str, value: impl fmt::Display) {
         self.trace.annotate(key, value);
     }
+}
+
+impl Drop for Phase {
+    fn drop(&mut self) {
+        if let Some(start) = self.start {
+            global().record_duration(self.name, start.elapsed());
+        }
+    }
+}
+
+/// One telemetry file written by [`export`].
+#[derive(Debug)]
+pub struct Exported {
+    /// What the file holds: `metrics`, `trace` or `series`.
+    pub what: &'static str,
+    /// Where it was written.
+    pub path: String,
+    /// Whether the write succeeded.
+    pub result: std::io::Result<()>,
+}
+
+/// Writes the process-wide telemetry that the output flags ask for.
+/// `path_for` maps a flag name, without its leading `--`, to the path
+/// given for it:
+///
+/// - `metrics-out` — the [`global`] registry as JSON;
+/// - `trace-out` — the [`tracer`]'s span tree as Chrome-trace JSON (load
+///   it in `chrome://tracing` or Perfetto);
+/// - `series-out` — the [`series`] as CSV when the path ends in `.csv`,
+///   else as JSON.
+///
+/// Every requested file is attempted, in that order; the caller decides
+/// what a failed write means.
+pub fn export(path_for: impl Fn(&str) -> Option<String>) -> Vec<Exported> {
+    [
+        ("metrics-out", "metrics"),
+        ("trace-out", "trace"),
+        ("series-out", "series"),
+    ]
+    .into_iter()
+    .filter_map(|(flag, what)| {
+        let path = path_for(flag)?;
+        let body = match what {
+            "metrics" => global().snapshot().to_json(),
+            "trace" => tracer().to_chrome_json(),
+            _ if path.ends_with(".csv") => series().to_csv(),
+            _ => series().to_json(),
+        };
+        let result = std::fs::write(&path, body);
+        Some(Exported { what, path, result })
+    })
+    .collect()
 }
 
 /// An immutable copy of a registry's contents, able to render itself.
@@ -768,7 +784,6 @@ mod tests {
         r.gauge_set("obs.test.gauge", 1.0);
         r.record_duration("obs.test.timer", Duration::from_millis(1));
         r.histogram_record("obs.test.hist", 0.5);
-        drop(r.span("obs.test.span"));
         assert!(r.snapshot().is_empty());
         // Re-enabling resumes recording on the same registry.
         r.set_enabled(true);
@@ -777,15 +792,13 @@ mod tests {
     }
 
     #[test]
-    fn span_records_on_drop() {
-        let r = Registry::new();
+    fn phase_records_on_drop() {
         {
-            let span = r.span("obs.test.work");
+            let _phase = phase("obs.test.phase_work");
             std::thread::sleep(Duration::from_millis(2));
-            assert!(span.elapsed() >= Duration::from_millis(2));
         }
-        let s = r.snapshot();
-        let t = s.timer("obs.test.work").expect("recorded");
+        let s = global().snapshot();
+        let t = s.timer("obs.test.phase_work").expect("recorded");
         assert_eq!(t.count, 1);
         assert!(t.total_ns >= 2_000_000, "got {}", t.total_ns);
         assert_eq!(t.min_ns, t.max_ns);

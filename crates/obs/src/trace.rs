@@ -3,11 +3,11 @@
 //!
 //! The [`Tracer`] complements the aggregate [`Registry`](crate::Registry):
 //! where a timer answers "how long do FM builds take on average", a trace
-//! answers "which DHT RPC retries ran inside *this* Eq. 9 query of *this*
-//! recompute epoch". Every [`TraceSpan`] records one [`TraceEvent`] on
-//! drop, linked to the span that was open on the same thread when it
-//! started, so nested guards form a per-thread causal tree with no manual
-//! parent bookkeeping.
+//! answers "which overlay retrievals, with how many RPC retries, ran
+//! inside *this* decision of *this* recompute epoch". Every [`TraceSpan`]
+//! records one [`TraceEvent`] on drop, linked to the span that was open on
+//! the same thread when it started, so nested guards form a per-thread
+//! causal tree with no manual parent bookkeeping.
 //!
 //! Design constraints, in order:
 //!
@@ -31,7 +31,7 @@
 //!
 //! let tracer = Tracer::new();
 //! {
-//!     let mut epoch = tracer.span("engine.recompute.epoch");
+//!     let mut epoch = tracer.span("engine.recompute.total");
 //!     epoch.annotate("mode", "incremental");
 //!     let _fm = tracer.span("engine.recompute.fm_build");
 //! } // both guards dropped: two events, fm_build parented to epoch
@@ -364,19 +364,14 @@ impl Drop for TraceSpan<'_> {
     }
 }
 
-/// The process-wide tracer fed by the engine, DHT, and simulator span
-/// sites. Enabled by default with [`DEFAULT_TRACE_CAPACITY`] (bounded
-/// memory either way); disable via `tracer().set_enabled(false)` to make
-/// every span site one relaxed atomic load.
+/// The process-wide tracer fed by the engine, DHT, and simulator
+/// [`phase`](crate::phase)s. Enabled by default with
+/// [`DEFAULT_TRACE_CAPACITY`] (bounded memory either way); disable via
+/// `tracer().set_enabled(false)` to make every span site one relaxed
+/// atomic load.
 pub fn tracer() -> &'static Tracer {
     static GLOBAL: OnceLock<Tracer> = OnceLock::new();
     GLOBAL.get_or_init(Tracer::new)
-}
-
-/// Starts a span on the global [`tracer`].
-#[must_use]
-pub fn trace_span(name: &'static str) -> TraceSpan<'static> {
-    tracer().span(name)
 }
 
 /// Renders `events` in the Chrome Trace Event Format (see

@@ -146,13 +146,6 @@ proptest! {
 }
 
 #[test]
-fn global_trace_span_helper_records_into_global_tracer() {
-    let before = mdrep_obs::tracer().stats().recorded;
-    drop(mdrep_obs::trace_span("obs.test.global_span"));
-    assert!(mdrep_obs::tracer().stats().recorded > before);
-}
-
-#[test]
 fn phase_records_one_timer_and_one_span_under_one_name() {
     {
         let mut outer = mdrep_obs::phase("obs.test.phase_outer");

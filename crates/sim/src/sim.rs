@@ -117,9 +117,9 @@ impl<S: ReputationSystem> Simulation<S> {
                 interval_requests = 0;
                 interval_covered = 0;
                 {
-                    let mut tick_span = mdrep_obs::trace_span("sim.tick.recompute");
-                    tick_span.annotate("sim_time_ticks", tick);
-                    tick_span.annotate("kind", "recompute");
+                    let mut phase = mdrep_obs::phase("sim.tick.recompute");
+                    phase.annotate("sim_time_ticks", tick);
+                    phase.annotate("kind", "recompute");
                     self.system.recompute(next_recompute);
                 }
                 next_recompute += RECOMPUTE_INTERVAL;
@@ -253,9 +253,9 @@ impl<S: ReputationSystem> Simulation<S> {
 
         // Close the final interval.
         {
-            let mut tick_span = mdrep_obs::trace_span("sim.tick.recompute");
-            tick_span.annotate("sim_time_ticks", next_recompute.as_ticks());
-            tick_span.annotate("kind", "final");
+            let mut phase = mdrep_obs::phase("sim.tick.recompute");
+            phase.annotate("sim_time_ticks", next_recompute.as_ticks());
+            phase.annotate("kind", "final");
             self.system.recompute(next_recompute);
         }
         if interval_requests > 0 {
@@ -338,7 +338,7 @@ impl<S: ReputationSystem> Simulation<S> {
         file: FileId,
         now: SimTime,
     ) -> Vec<OwnerEvaluation> {
-        let mut query = mdrep_obs::trace_span("sim.eq9.query");
+        let mut query = mdrep_obs::phase("sim.eq9.query");
         query.annotate("file", file);
         let mut attempted = 0u64;
         let mut lost = 0u64;

@@ -1,10 +1,12 @@
 //! The simulator's trace shows only work it does. Its owner-evaluation
 //! retrievals go through the fault model, not through an overlay, so no
 //! `dht.*` span may appear, and each `sim.eq9.query` span's `attempted` and
-//! `lost` annotations must add up to the report's fault counters.
+//! `lost` annotations must add up to the report's fault counters. Every
+//! traced layer is a phase: each span name is a registry timer with the
+//! same count.
 //!
-//! The only test in its binary: it reads the process-wide tracer, which
-//! concurrent tests would write to.
+//! The only test in its binary: it reads the process-wide registry and
+//! tracer, which concurrent tests would write to.
 
 use mdrep_repro::baselines::MultiDimensional;
 use mdrep_repro::core::Params;
@@ -12,6 +14,7 @@ use mdrep_repro::dht::{ChurnSchedule, FaultPlan, RetryPolicy};
 use mdrep_repro::sim::{SimConfig, Simulation};
 use mdrep_repro::types::SimDuration;
 use mdrep_repro::workload::{BehaviorMix, TraceBuilder, WorkloadConfig};
+use std::collections::BTreeMap;
 
 fn arg(event: &mdrep_obs::TraceEvent, key: &str) -> u64 {
     event
@@ -52,10 +55,14 @@ fn faulted_replay_traces_no_phantom_rpc() {
         ..SimConfig::default()
     };
 
+    let registry = mdrep_obs::global();
     let tracer = mdrep_obs::tracer();
+    registry.set_enabled(true);
     tracer.set_enabled(true);
+    registry.clear();
     tracer.clear();
     let report = Simulation::new(config, MultiDimensional::new(Params::default())).run(&trace);
+    registry.set_enabled(false);
     tracer.set_enabled(false);
     assert_eq!(tracer.stats().dropped, 0, "the trace holds every span");
     let events = tracer.events();
@@ -71,6 +78,19 @@ fn faulted_replay_traces_no_phantom_rpc() {
         phantom.len(),
         phantom.first()
     );
+
+    let mut spans: BTreeMap<&str, u64> = BTreeMap::new();
+    for event in &events {
+        *spans.entry(event.name).or_default() += 1;
+    }
+    let timers = registry.snapshot();
+    for (name, count) in spans {
+        assert_eq!(
+            timers.timer(name).map(|t| t.count),
+            Some(count),
+            "span `{name}` has a registry timer with its count"
+        );
+    }
 
     let queries: Vec<_> = events
         .iter()
