@@ -166,36 +166,21 @@ fn load_digest(path: &str) -> Result<BTreeMap<String, f64>, String> {
 }
 
 /// Parses the flat `{"key": number, ...}` JSON the criterion shim and the
-/// obs registry emit. Not a general JSON parser: nested objects and arrays
-/// are rejected, which is exactly right for a gate that should fail loudly
-/// on unexpected input.
+/// obs registry emit. Any other shape — an array, a nested object, a
+/// string value — is rejected, which is exactly right for a gate that
+/// should fail loudly on unexpected input.
 fn parse_flat_json(body: &str) -> Result<BTreeMap<String, f64>, String> {
-    let mut out = BTreeMap::new();
-    let trimmed = body.trim();
-    let inner = trimmed
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or("not a JSON object")?;
-    for raw_line in inner.split(',') {
-        let line = raw_line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (key, value) = line
-            .split_once(':')
-            .ok_or_else(|| format!("bad entry: {line}"))?;
-        let key = key
-            .trim()
-            .strip_prefix('"')
-            .and_then(|k| k.strip_suffix('"'))
-            .ok_or_else(|| format!("unquoted key: {key}"))?;
-        let value: f64 = value
-            .trim()
-            .parse()
-            .map_err(|_| format!("non-numeric value for {key}: {}", value.trim()))?;
-        out.insert(key.to_string(), value);
-    }
-    Ok(out)
+    let doc = mdrep_obs::json::parse(body).map_err(|e| e.to_string())?;
+    let object = doc.as_object().ok_or("not a JSON object")?;
+    object
+        .iter()
+        .map(|(key, value)| {
+            let number = value
+                .as_f64()
+                .ok_or_else(|| format!("non-numeric value for {key}"))?;
+            Ok((key.clone(), number))
+        })
+        .collect()
 }
 
 fn check_ratio(

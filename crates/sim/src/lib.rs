@@ -55,7 +55,7 @@ mod queue;
 pub mod replay;
 mod sim;
 
-pub use cache::{run_cache_sweep, CacheReport, CacheSweepConfig, CacheSweepReport, SweepGossip};
+pub use cache::{run_cache_sweep, CacheSweepConfig, CacheSweepReport};
 pub use config::SimConfig;
 pub use metrics::{ClassStats, CoveragePoint, FakeStats, FaultReport, SimReport};
 pub use queue::{Request, UploaderQueue};
