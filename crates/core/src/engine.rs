@@ -155,8 +155,8 @@ impl Columns {
             .expect("every row and column is interned before integrate")
     }
 
-    /// `row` with its columns resolved by search. The collect reuses the
-    /// row's buffer: a position pair is the size of an id pair.
+    /// `row` with its columns resolved through the index. The collect
+    /// reuses the row's buffer: a position pair is the size of an id pair.
     fn resolve(&self, row: Row) -> Vec<(u32, f64)> {
         row.into_iter()
             .map(|(c, v)| (self.position(c), v))
@@ -219,8 +219,8 @@ impl RowSources<'_> {
 
     /// Rebuilds row `u` of a rebuild of every row, in positions of
     /// `columns.index`: the `FM`, `DM`, `UM` and `TM` rows. `FT`'s columns
-    /// map through the position table; `DM`'s and `UM`'s resolve by
-    /// search. Positions follow id order, so the rows carry the bits the
+    /// map through the position table; `DM`'s and `UM`'s resolve through
+    /// the index. Positions follow id order, so the rows carry the bits the
     /// id-space kernels give.
     fn position_rows(&self, u: UserId, columns: &Columns) -> [Vec<(u32, f64)>; 4] {
         let fm = self.ft.index().position(u).map_or_else(Vec::new, |at| {

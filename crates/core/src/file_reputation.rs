@@ -98,10 +98,11 @@ pub fn file_reputation(
     evaluations: &[OwnerEvaluation],
 ) -> Option<Evaluation> {
     mdrep_obs::global().counter_inc("engine.file_reputation.count");
+    let row = rm.matrix().row_view(viewer);
     let mut weighted = 0.0;
     let mut weight = 0.0;
     for oe in evaluations {
-        let r = rm.reputation(viewer, oe.owner);
+        let r = row.get(oe.owner);
         if r > 0.0 {
             weighted += r * oe.evaluation.value();
             weight += r;
@@ -115,11 +116,10 @@ pub fn file_reputation(
 }
 
 /// Batched Equation 9: one file's owner evaluations scored by many viewers
-/// at once. The owner columns are resolved against the frozen `RM` once and
-/// each viewer's row is gathered from contiguous CSR storage, so the cost is
-/// one binary search per (viewer, owner) pair with no per-query `BTreeMap`
-/// walks. Each result is exactly what [`file_reputation`] returns for that
-/// viewer.
+/// at once. The owner columns are resolved against the frozen `RM` once,
+/// each viewer's row is looked up once, and each owner costs one search
+/// within that row. Each result is exactly what [`file_reputation`]
+/// returns for that viewer.
 ///
 /// # Examples
 ///

@@ -33,6 +33,7 @@ use crate::incentive::{ServiceDecision, ServicePolicy};
 use crate::params::Params;
 use crate::reputation::ReputationMatrix;
 use mdrep_types::{Evaluation, SimTime, UserId};
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -284,10 +285,19 @@ impl EngineSnapshot {
         h
     }
 
-    fn trusted_evaluations(&self, evaluations: &[OwnerEvaluation]) -> Vec<OwnerEvaluation> {
+    /// `evaluations` without punished owners: borrowed when no owner is
+    /// punished, copied only when one must be dropped.
+    fn trusted_evaluations<'a>(
+        &self,
+        evaluations: &'a [OwnerEvaluation],
+    ) -> Cow<'a, [OwnerEvaluation]> {
+        let punished = |oe: &OwnerEvaluation| self.punished.contains(&oe.owner);
+        if self.punished.is_empty() || !evaluations.iter().any(punished) {
+            return Cow::Borrowed(evaluations);
+        }
         evaluations
             .iter()
-            .filter(|oe| !self.punished.contains(&oe.owner))
+            .filter(|oe| !punished(oe))
             .copied()
             .collect()
     }

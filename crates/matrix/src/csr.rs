@@ -28,21 +28,43 @@
 //! The frozen arrays are immutable, but the incremental dirty-row
 //! recompute needs to patch a few rows between full rebuilds.
 //! [`CsrMatrix::set_row`] stores each patch as a sorted `(column, value)`
-//! slice in a per-row *overlay* keyed by [`UserId`] (so a patched row may
-//! reference users that did not exist at freeze time); all reads consult
-//! the overlay first, by binary search. The overlay is folded back into
-//! clean contiguous storage by [`CsrMatrix::compact`] before any multi-step
+//! slice in a per-row *overlay*, a hash map keyed by [`UserId`] (so a
+//! patched row may reference users that did not exist at freeze time).
+//! Every row read goes through [`CsrMatrix::row_view`], which looks the
+//! row up once — in the overlay first, else in the frozen arrays — and
+//! then searches only within that row. The overlay is folded back into clean
+//! contiguous storage by [`CsrMatrix::compact`] before any multi-step
 //! power; the engine's next rebuild of every row replaces the matrix
 //! outright.
+//!
+//! # Read cost
+//!
+//! A read is `O(1)` up to the final search within one row: the overlay is
+//! hashed, and a [`UserIndex`] whose ids are dense (the largest below
+//! `DENSE_SPREAD` = 4 times their count) maps an id to its position
+//! through a flat table. Sparse id spaces keep a binary search over the
+//! sorted ids. Only lookups are hashed, never sums: every reader of the
+//! overlay either sorts its ids or adds integers over it, so the map's
+//! iteration order never reaches a result.
 
 use crate::ops::{validate_blend_weights_by_value, BlendError, PowerOptions};
 use crate::sparse::SparseMatrix;
 use mdrep_types::UserId;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// One computed output row: `(row position, column positions, values)`.
 type CsrRow = (u32, Vec<u32>, Vec<f64>);
+
+/// How spread a [`UserIndex`]'s ids may be for it to keep a flat
+/// id → position table: the table is built when the largest id is below
+/// `DENSE_SPREAD` times the number of ids, so it costs at most
+/// `4 · DENSE_SPREAD` bytes per interned id.
+const DENSE_SPREAD: u64 = 4;
+
+/// Marks an id the dense table does not intern.
+const ABSENT: u32 = u32::MAX;
 
 /// Interns [`UserId`]s into dense `u32` positions (and back).
 ///
@@ -52,16 +74,38 @@ type CsrRow = (u32, Vec<u32>, Vec<f64>);
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UserIndex {
     ids: Vec<UserId>,
+    /// `dense[id]` is the position of `id`, or [`ABSENT`]; empty when the
+    /// ids are too spread (see `DENSE_SPREAD`), and then
+    /// [`position`](Self::position) searches `ids`.
+    dense: Vec<u32>,
 }
 
 impl UserIndex {
     /// Builds an index from arbitrary ids (sorted and deduplicated).
+    ///
+    /// # Panics
+    ///
+    /// Panics with more than `u32::MAX - 1` distinct ids.
     #[must_use]
     pub fn from_ids<I: IntoIterator<Item = UserId>>(ids: I) -> Self {
         let mut ids: Vec<UserId> = ids.into_iter().collect();
         ids.sort_unstable();
         ids.dedup();
-        Self { ids }
+        assert!(
+            ids.len() < ABSENT as usize,
+            "user index positions fit in u32"
+        );
+        let dense = match ids.last() {
+            Some(max) if max.as_u64() < DENSE_SPREAD.saturating_mul(ids.len() as u64) => {
+                let mut dense = vec![ABSENT; max.as_u64() as usize + 1];
+                for (pos, id) in ids.iter().enumerate() {
+                    dense[id.as_u64() as usize] = pos as u32;
+                }
+                dense
+            }
+            _ => Vec::new(),
+        };
+        Self { ids, dense }
     }
 
     /// Builds the union index over every row and column id of `matrices` —
@@ -79,13 +123,15 @@ impl UserIndex {
         Self::from_ids(ids)
     }
 
-    /// The dense position of `id`, if interned.
+    /// The dense position of `id`, if interned: one table load for a dense
+    /// index, a binary search over the sorted ids otherwise.
     #[must_use]
     pub fn position(&self, id: UserId) -> Option<u32> {
-        self.ids
-            .binary_search(&id)
-            .ok()
-            .map(|p| u32::try_from(p).expect("user index fits in u32"))
+        if self.dense.is_empty() {
+            return self.ids.binary_search(&id).ok().map(|p| p as u32);
+        }
+        let slot = usize::try_from(id.as_u64()).ok()?;
+        self.dense.get(slot).copied().filter(|&p| p != ABSENT)
     }
 
     /// The id at `position`.
@@ -229,13 +275,80 @@ pub struct CsrMatrix {
     /// are written exactly once, at construction — no constructed matrix
     /// ever mutates them.
     storage: Arc<CsrStorage>,
-    /// Patched rows (dirty-row recompute): reads consult this first, by
-    /// binary search, so each row's columns strictly ascend (and its values
-    /// are finite and positive). An empty slice masks the frozen row
-    /// entirely (row removal). Rows are `Arc`-wrapped so snapshot clones
-    /// share them too; `set_row` replaces the `Arc`, never the pointee,
-    /// keeping clones isolated.
-    overlay: BTreeMap<UserId, Arc<[(UserId, f64)]>>,
+    /// Patched rows (dirty-row recompute): [`row_view`](Self::row_view)
+    /// consults this first, with one hashed lookup, and then searches the
+    /// row, so each row's columns strictly ascend (and its values are
+    /// finite and positive). An empty slice masks the frozen row entirely
+    /// (row removal). Rows are `Arc`-wrapped so snapshot clones share them
+    /// too; `set_row` replaces the `Arc`, never the pointee, keeping clones
+    /// isolated.
+    overlay: Overlay,
+}
+
+/// The dirty-row overlay: patched rows by id.
+type Overlay = HashMap<UserId, Arc<[(UserId, f64)]>, BuildHasherDefault<IdHasher>>;
+
+/// A fixed multiplicative hash of one id for the overlay. It is
+/// deterministic and cheap, and the Fibonacci multiplier spreads
+/// consecutive ids over both the bucket (low) and tag (high) bits. Being
+/// unkeyed, it assumes ids are assigned by the engine's caller, not
+/// chosen by peers to collide.
+#[derive(Debug, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// One row of a [`CsrMatrix`], looked up once by
+/// [`row_view`](CsrMatrix::row_view): its overlay patch, or its frozen
+/// slices (empty for a row the matrix does not hold). Reads of it search
+/// only within the row.
+#[derive(Debug, Clone, Copy)]
+pub struct RowView<'a> {
+    index: &'a UserIndex,
+    entries: RowEntries<'a>,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum RowEntries<'a> {
+    /// An overlay patch, by column id.
+    Patched(&'a [(UserId, f64)]),
+    /// Frozen column positions and their values.
+    Frozen(&'a [u32], &'a [f64]),
+}
+
+impl RowView<'_> {
+    /// Entry `col` of the row, with a missing entry reading as `0.0`.
+    #[must_use]
+    pub fn get(&self, col: UserId) -> f64 {
+        match self.entries {
+            RowEntries::Patched(row) => row
+                .binary_search_by_key(&col, |&(c, _)| c)
+                .map_or(0.0, |i| row[i].1),
+            RowEntries::Frozen(cols, vals) => {
+                if cols.is_empty() {
+                    return 0.0;
+                }
+                self.index
+                    .position(col)
+                    .and_then(|c| cols.binary_search(&c).ok())
+                    .map_or(0.0, |i| vals[i])
+            }
+        }
+    }
 }
 
 /// The immutable frozen arrays behind a [`CsrMatrix`] — see the `storage`
@@ -367,7 +480,7 @@ impl CsrMatrix {
         Self {
             index: Arc::clone(index),
             storage: Arc::new(CsrStorage { indptr, cols, vals }),
-            overlay: BTreeMap::new(),
+            overlay: Overlay::default(),
         }
     }
 
@@ -399,7 +512,7 @@ impl CsrMatrix {
         Self {
             index: Arc::clone(index),
             storage: Arc::new(CsrStorage { indptr, cols, vals }),
-            overlay: BTreeMap::new(),
+            overlay: Overlay::default(),
         }
     }
 
@@ -468,32 +581,45 @@ impl CsrMatrix {
             .sum()
     }
 
+    /// Row `row`, looked up once: its overlay patch if it has one, else
+    /// its frozen slices (empty for a row the matrix does not hold).
+    #[must_use]
+    pub fn row_view(&self, row: UserId) -> RowView<'_> {
+        let entries = match self.overlay.get(&row) {
+            Some(patched) => RowEntries::Patched(patched),
+            None => match self.index.position(row) {
+                Some(pos) => {
+                    let (cols, vals) = self.base_row(pos);
+                    RowEntries::Frozen(cols, vals)
+                }
+                None => RowEntries::Frozen(&[], &[]),
+            },
+        };
+        RowView {
+            index: &self.index,
+            entries,
+        }
+    }
+
     /// Entry `(row, col)`, with missing entries reading as `0.0`.
     #[must_use]
     pub fn get(&self, row: UserId, col: UserId) -> f64 {
-        if let Some(patched) = self.overlay.get(&row) {
-            return patched_get(patched, col);
-        }
-        let (Some(r), Some(c)) = (self.index.position(row), self.index.position(col)) else {
-            return 0.0;
-        };
-        let (cols, vals) = self.base_row(r);
-        cols.binary_search(&c).map(|i| vals[i]).unwrap_or(0.0)
+        self.row_view(row).get(col)
     }
 
     /// Iterates `(col, value)` over one row in ascending column order,
     /// consulting the overlay first.
     pub fn row_entries(&self, row: UserId) -> impl Iterator<Item = (UserId, f64)> + Clone + '_ {
-        let (patched, base) = match self.overlay.get(&row) {
-            Some(p) => (Some(p), None),
-            None => (None, self.index.position(row)),
+        let view = self.row_view(row);
+        let (patched, (cols, vals)) = match view.entries {
+            RowEntries::Patched(p) => (p, (&[][..], &[][..])),
+            RowEntries::Frozen(cols, vals) => (&[][..], (cols, vals)),
         };
-        let patched_iter = patched.into_iter().flat_map(|p| p.iter().copied());
-        let base_iter = base.into_iter().flat_map(move |pos| {
-            let (cols, vals) = self.base_row(pos);
-            cols.iter().zip(vals).map(|(&c, &v)| (self.index.id(c), v))
-        });
-        patched_iter.chain(base_iter)
+        let index = view.index;
+        patched
+            .iter()
+            .copied()
+            .chain(cols.iter().zip(vals).map(move |(&c, &v)| (index.id(c), v)))
     }
 
     /// Ids of non-empty rows, ascending (overlay-aware: patched-empty rows
@@ -662,7 +788,7 @@ impl CsrMatrix {
         Self {
             index,
             storage: Arc::new(CsrStorage { indptr, cols, vals }),
-            overlay: BTreeMap::new(),
+            overlay: Overlay::default(),
         }
     }
 
@@ -677,23 +803,18 @@ impl CsrMatrix {
 
     /// Gathers `row`'s values at the columns of `set`, in set order, into
     /// `out` (cleared first; missing entries read 0.0). This is the batched
-    /// Equation 9 primitive: one binary search per (viewer, owner) pair on
-    /// contiguous slices, no `BTreeMap` materialization.
+    /// Equation 9 primitive: one row lookup per viewer, then one search
+    /// within the row per owner, on contiguous slices.
     pub fn gather_row(&self, row: UserId, set: &ColumnSet, out: &mut Vec<f64>) {
         out.clear();
-        if let Some(patched) = self.overlay.get(&row) {
-            out.extend(set.ids.iter().map(|&c| patched_get(patched, c)));
-            return;
+        let view = self.row_view(row);
+        match view.entries {
+            RowEntries::Patched(_) => out.extend(set.ids.iter().map(|&c| view.get(c))),
+            RowEntries::Frozen(cols, vals) => out.extend(set.positions.iter().map(|p| {
+                p.and_then(|c| cols.binary_search(&c).ok())
+                    .map_or(0.0, |i| vals[i])
+            })),
         }
-        let Some(pos) = self.index.position(row) else {
-            out.extend(std::iter::repeat_n(0.0, set.len()));
-            return;
-        };
-        let (cols, vals) = self.base_row(pos);
-        out.extend(set.positions.iter().map(|p| {
-            p.and_then(|c| cols.binary_search(&c).ok().map(|i| vals[i]))
-                .unwrap_or(0.0)
-        }));
     }
 
     /// One SpGEMM step `self · other` with pruning **fused into the
@@ -912,7 +1033,7 @@ impl CsrMatrix {
         Self {
             index,
             storage: Arc::new(CsrStorage { indptr, cols, vals }),
-            overlay: BTreeMap::new(),
+            overlay: Overlay::default(),
         }
     }
 
@@ -929,7 +1050,7 @@ impl CsrMatrix {
                 cols: (0..n as u32).collect(),
                 vals: vec![1.0; n],
             }),
-            overlay: BTreeMap::new(),
+            overlay: Overlay::default(),
         }
     }
 
@@ -1001,12 +1122,6 @@ impl Default for CsrMatrix {
     fn default() -> Self {
         Self::from_position_runs(&Arc::default(), Vec::new())
     }
-}
-
-/// Entry `col` of an overlay row (0.0 when absent).
-fn patched_get(row: &[(UserId, f64)], col: UserId) -> f64 {
-    row.binary_search_by_key(&col, |&(c, _)| c)
-        .map_or(0.0, |i| row[i].1)
 }
 
 impl PartialEq for CsrMatrix {
@@ -1201,6 +1316,25 @@ mod tests {
         assert_eq!(idx.id(2), u(5));
         assert!(!idx.is_empty());
         assert!(UserIndex::default().is_empty());
+        assert_eq!(UserIndex::default().position(u(0)), None);
+    }
+
+    #[test]
+    fn dense_and_sparse_indices_find_the_same_positions() {
+        // Dense: the largest id (11) is below DENSE_SPREAD × 3 ids.
+        let dense = UserIndex::from_ids([u(0), u(11), u(4)]);
+        assert!(!dense.dense.is_empty(), "takes the flat table");
+        // Sparse: one id at the edge of the spread, one far beyond it.
+        let edge = UserIndex::from_ids([u(0), u(12), u(4)]);
+        let far = UserIndex::from_ids([u(7), u(1 << 40), u(u64::MAX)]);
+        assert!(edge.dense.is_empty() && far.dense.is_empty());
+        for idx in [&dense, &edge, &far] {
+            let probes = (0..16).chain([1 << 40, u64::MAX - 1, u64::MAX]).map(u);
+            for id in probes {
+                let searched = idx.ids().binary_search(&id).ok().map(|p| p as u32);
+                assert_eq!(idx.position(id), searched, "{id} in {:?}", idx.ids());
+            }
+        }
     }
 
     #[test]

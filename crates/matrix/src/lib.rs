@@ -46,7 +46,7 @@ mod ops;
 mod sparse;
 
 pub use csr::{
-    blend_frozen, map_chunks, shard_ranges, ColumnSet, CsrMatrix, PositionRun, UserIndex,
+    blend_frozen, map_chunks, shard_ranges, ColumnSet, CsrMatrix, PositionRun, RowView, UserIndex,
 };
 pub use eigen::{principal_eigenvector, EigenOptions, EigenResult};
 pub use ops::{

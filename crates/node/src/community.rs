@@ -399,7 +399,10 @@ impl Community {
     /// punish detected forgers *in every peer's engine*). Returns the
     /// number of forgeries detected this tick.
     pub fn tick(&mut self, now: SimTime) -> usize {
-        let users: Vec<UserId> = self.peers.keys().copied().collect();
+        // Ascending ids, so republication reaches the overlay in the same
+        // order on every run.
+        let mut users: Vec<UserId> = self.peers.keys().copied().collect();
+        users.sort_unstable();
         let mut republish: Vec<UserId> = Vec::new();
         for &user in &users {
             if !self.dht.is_online(user) {
@@ -422,14 +425,12 @@ impl Community {
 
         // Proactive audits, round-robin.
         let mut forgeries = 0;
-        let mut sorted: Vec<UserId> = users;
-        sorted.sort_unstable();
-        if sorted.is_empty() {
+        if users.is_empty() {
             return 0;
         }
         for _ in 0..self.config.audits_per_tick {
-            self.audit_cursor = (self.audit_cursor + 1) % sorted.len() as u64;
-            let subject = sorted[self.audit_cursor as usize];
+            self.audit_cursor = (self.audit_cursor + 1) % users.len() as u64;
+            let subject = users[self.audit_cursor as usize];
             let published = self
                 .peers
                 .get(&subject)

@@ -2,7 +2,10 @@
 # Regenerates every checked-in result that results/MANIFEST lists with a
 # command, and fails on any byte change outside the columns the manifest
 # marks as timings, on a command that exits nonzero, or on a CSV in
-# results/ that the manifest does not list.
+# results/ that the manifest does not list. Each `===== <binary> =====`
+# block of results/all_experiments.txt must also be that binary's stdout
+# from the same run, byte for byte outside its timing lines (a line with a
+# number followed by ns, us, µs, ms or s).
 #
 # Usage: scripts/check_results.sh [BIN_DIR]
 #   BIN_DIR holds the experiment binaries (default target/release); build
@@ -28,6 +31,16 @@ mask() {
 
 trim() { sed 's/^[[:space:]]*//; s/[[:space:]]*$//' <<<"$1"; }
 
+# Replaces each timing line on stdin by `*`.
+mask_timing() { sed -E 's/.*[0-9] ?(ns|us|µs|ms|s)([^[:alnum:]_]|$).*/*/'; }
+
+# Prints the body of block `$2` of the experiments log `$1`.
+block() {
+    awk -v header="===== $2 =====" '
+        /^===== .* =====$/ { on = ($0 == header); next }
+        on' "$1"
+}
+
 status=0
 declare -A ran listed
 while IFS='|' read -r csv command timing; do
@@ -41,10 +54,11 @@ while IFS='|' read -r csv command timing; do
     if [[ -z "${ran[$command]:-}" ]]; then
         ran[$command]=1
         start=$SECONDS
+        stdout="$work/stdout.${command// /_}"
         # shellcheck disable=SC2086 # the command's arguments split on spaces
-        if ! (cd "$work" && env -u CARGO_MANIFEST_DIR "$bin_dir"/$command >"$work/log" 2>&1); then
+        if ! (cd "$work" && env -u CARGO_MANIFEST_DIR "$bin_dir"/$command >"$stdout" 2>"$work/log"); then
             echo "FAIL: \`$command\` exited nonzero:"
-            tail -20 "$work/log"
+            tail -20 "$stdout" "$work/log"
             status=1
         fi
         echo "ran \`$command\` in $((SECONDS - start)) s"
@@ -66,5 +80,16 @@ for path in "$root"/results/*.csv; do
         status=1
     fi
 done
-[[ $status == 0 ]] && echo "results: every listed CSV regenerates"
+log="$root/results/all_experiments.txt"
+while read -r binary; do
+    if [[ -z "${ran[$binary]:-}" ]]; then
+        echo "FAIL: all_experiments.txt block $binary is no command in results/MANIFEST"
+        status=1
+    elif ! diff -u --label "all_experiments.txt: $binary" --label "regenerated" \
+        <(block "$log" "$binary" | mask_timing) <(mask_timing <"$work/stdout.$binary"); then
+        echo "DRIFT: the $binary block of results/all_experiments.txt differs from its stdout"
+        status=1
+    fi
+done < <(sed -n 's/^===== \(.*\) =====$/\1/p' "$log")
+[[ $status == 0 ]] && echo "results: every listed CSV and experiments-log block regenerates"
 exit $status

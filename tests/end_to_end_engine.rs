@@ -3,7 +3,8 @@
 
 use mdrep_repro::baselines::{MultiDimensional, ReputationSystem};
 use mdrep_repro::core::{
-    OwnerEvaluation, Params, ReputationEngine, ServiceDecision, ServicePolicy, ShardedEngine,
+    DownloadDecision, EngineSnapshot, OwnerEvaluation, Params, RecomputeMode, ReputationEngine,
+    ServiceDecision, ServicePolicy, ShardedEngine,
 };
 use mdrep_repro::types::{Evaluation, SimDuration, SimTime, UserId};
 use mdrep_repro::workload::{Behavior, BehaviorMix, Trace, TraceBuilder, WorkloadConfig};
@@ -302,5 +303,142 @@ fn punishment_reads_the_same_on_every_path() {
         pair_reads!(punished, a, b, &policy),
         trusted,
         "pardon restores"
+    );
+}
+
+/// Equation 9 the long way: one `reputation` read per owner, in caller
+/// order, punished owners reading as zero.
+fn eq9_by_pairs(snap: &EngineSnapshot, viewer: UserId, evals: &[OwnerEvaluation]) -> Option<u64> {
+    let (mut weighted, mut weight) = (0.0, 0.0);
+    for oe in evals {
+        let r = snap.reputation(viewer, oe.owner);
+        if r > 0.0 {
+            weighted += r * oe.evaluation.value();
+            weight += r;
+        }
+    }
+    (weight > 0.0).then(|| Evaluation::clamped(weighted / weight).value().to_bits())
+}
+
+#[test]
+fn eq9_paths_read_like_per_owner_reputation_over_dirty_rows() {
+    let (_, engine, end) = build();
+    let sharded = ShardedEngine::from_engine(engine, 2);
+    let users: Vec<UserId> = sharded
+        .snapshot()
+        .reputation_matrix()
+        .expect("computed")
+        .matrix()
+        .row_ids();
+    // Several dirty-row epochs with the clock held (so no record drifts):
+    // a few raters rank a few peers each, and the published RM carries an
+    // overlay of patched rows.
+    let mut raters = Vec::new();
+    for epoch in 0..4usize {
+        for k in 0..6 {
+            let rater = users[(epoch * 13 + k * 7) % users.len()];
+            raters.push(rater);
+            let target = users[(epoch * 5 + k * 11 + 1) % users.len()];
+            let value = Evaluation::new(0.1 + 0.15 * k as f64).expect("in range");
+            sharded.observe_rank(rater, target, value);
+        }
+        sharded.recompute_epoch(end);
+        assert_eq!(
+            sharded.last_recompute_mode(),
+            Some(RecomputeMode::Incremental)
+        );
+    }
+    let unpunished = sharded.snapshot();
+    let rm = unpunished.reputation_matrix().expect("computed");
+    assert!(
+        rm.matrix().overlay_len() > 0,
+        "dirty rows sit in the overlay"
+    );
+
+    // Owners: duplicates, ids the index has never seen, and one owner
+    // that gets punished below.
+    let punished = users[3];
+    let mut owners: Vec<UserId> = users.iter().step_by(4).take(20).copied().collect();
+    owners.extend([
+        users[0],
+        punished,
+        UserId::new(999_999),
+        users[0],
+        UserId::new(u64::MAX),
+    ]);
+    owners.push(punished);
+    let evals: Vec<OwnerEvaluation> = owners
+        .iter()
+        .enumerate()
+        .map(|(i, &o)| {
+            OwnerEvaluation::new(
+                o,
+                Evaluation::new((i % 11) as f64 / 10.0).expect("in range"),
+            )
+        })
+        .collect();
+    // Viewers: the raters (their rows are patched), every third user, and
+    // one the index has never seen.
+    let viewers: Vec<UserId> = raters
+        .into_iter()
+        .chain(users.iter().copied().step_by(3))
+        .chain([UserId::new(999_999)])
+        .collect();
+
+    sharded.mark_punished(punished, end);
+    let snap = sharded.snapshot();
+    assert!(snap.is_punished(punished));
+    for (name, snap) in [("unpunished", &unpunished), ("punished", &snap)] {
+        let batch = snap.file_reputation_batch(&viewers, &evals);
+        let threshold = snap.params().fake_threshold();
+        let mut verdicts = 0;
+        for (&viewer, batched) in viewers.iter().zip(&batch) {
+            let want = eq9_by_pairs(snap, viewer, &evals);
+            let bits = |r: Option<Evaluation>| r.map(|e| e.value().to_bits());
+            assert_eq!(
+                bits(snap.file_reputation(viewer, &evals)),
+                want,
+                "{name}: file_reputation({viewer})"
+            );
+            assert_eq!(
+                bits(*batched),
+                want,
+                "{name}: file_reputation_batch({viewer})"
+            );
+            let decision = snap.decide_download(viewer, &evals);
+            match (decision, want) {
+                (DownloadDecision::Unknown, None) => {}
+                (
+                    DownloadDecision::Accept { reputation }
+                    | DownloadDecision::Reject { reputation },
+                    Some(want),
+                ) => {
+                    verdicts += 1;
+                    assert_eq!(
+                        reputation.value().to_bits(),
+                        want,
+                        "{name}: decide_download({viewer})"
+                    );
+                    assert_eq!(decision.is_accept(), !reputation.is_below(threshold));
+                }
+                _ => panic!("{name}: decide_download({viewer}) = {decision} against {want:?}"),
+            }
+        }
+        assert!(
+            verdicts > viewers.len() / 2,
+            "{name}: most viewers reach a verdict"
+        );
+    }
+    // The punished owner counted before, and no longer does.
+    let trusting = viewers
+        .iter()
+        .copied()
+        .find(|&v| unpunished.reputation(v, punished) > 0.0);
+    let trusting = trusting.expect("some viewer trusts the punished owner");
+    assert_eq!(snap.reputation(trusting, punished), 0.0);
+    assert_ne!(
+        eq9_by_pairs(&unpunished, trusting, &evals),
+        eq9_by_pairs(&snap, trusting, &evals),
+        "punishing an owner moves the verdict"
     );
 }
