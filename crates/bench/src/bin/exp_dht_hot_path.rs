@@ -5,9 +5,17 @@
 //! samples from. Also the wall time and resident memory of joining the
 //! overlay.
 //!
-//! A 2000-node overlay on a quiet network (no loss, no churn), 64 files
-//! with 50 signed owner evaluations each, tracing off. Each figure is the
-//! median over 7 batches of the per-call time.
+//! The cache tier's record path, on 16 more files with 99 owners each: a
+//! warm hit, a miss (fetch, verify and fill, gossip off), and the same
+//! miss followed by a push to `GossipConfig::default().fanout` peers. The
+//! gossip-delivery row is the difference of the two miss rows per peer:
+//! what one receiver spends decoding, verifying, deduplicating and
+//! caching a 99-record push. The miss rows give the cache a TTL of one
+//! tick and advance the clock a tick per call, so every call misses and
+//! no push lands in a cache a later call reads.
+//!
+//! A 2000-node overlay on a quiet network (no loss, no churn), tracing
+//! off. Each figure is the median over 7 batches of the per-call time.
 //!
 //! Run: `cargo run -p mdrep-bench --bin exp_dht_hot_path --release -- --label after`
 //! (writes `results/dht_hot_path_<label>.csv`; the label defaults to
@@ -15,14 +23,22 @@
 
 use mdrep_bench::{arg_value, Table};
 use mdrep_crypto::KeyRegistry;
-use mdrep_dht::{Dht, DhtConfig, EvaluationPublisher, Key};
-use mdrep_types::{Evaluation, FileId, SimTime, UserId};
+use mdrep_dht::{
+    CacheConfig, CacheTierConfig, Dht, DhtConfig, EvaluationCacheTier, EvaluationPublisher,
+    GossipConfig, Key, RetrievalSource,
+};
+use mdrep_types::{Evaluation, FileId, SimDuration, SimTime, UserId};
 use std::hint::black_box;
 use std::time::Instant;
 
 const NODES: u64 = 2_000;
 const FILES: u64 = 64;
 const OWNERS: u64 = 50;
+/// Files of the tier rows, after the [`FILES`] of the overlay rows.
+const TIER_FILES: u64 = 16;
+const TIER_OWNERS: u64 = 99;
+/// Viewers whose caches the warm-hit row reads.
+const VIEWERS: u64 = 16;
 const BATCHES: usize = 7;
 
 /// Resident set size of this process in MB (Linux), or NaN elsewhere.
@@ -102,6 +118,24 @@ fn main() {
         .expect("online");
     assert_eq!(records.len() as u64, OWNERS, "every owner's record");
 
+    for f in FILES..FILES + TIER_FILES {
+        for j in 0..TIER_OWNERS {
+            let owner = u((f * 31 + j * 37) % NODES);
+            let key = registry.key_of(owner).expect("registered").clone();
+            publisher
+                .publish(
+                    &mut dht,
+                    &key,
+                    owner,
+                    FileId::new(f),
+                    Evaluation::BEST,
+                    SimTime::ZERO,
+                )
+                .expect("quiet overlay");
+        }
+    }
+    let tier_file = |i: u64| FileId::new(FILES + i % TIER_FILES);
+
     let targets: Vec<Key> = (0..FILES).map(|f| Key::for_file(FileId::new(f))).collect();
     let closest = per_call_ns(20_000, |i| {
         let node = dht.node_of(u(i % NODES)).expect("joined");
@@ -126,6 +160,67 @@ fn main() {
         black_box(dht.online_users());
     });
 
+    let mut warm = EvaluationCacheTier::new(CacheTierConfig {
+        gossip: None,
+        ..CacheTierConfig::default()
+    });
+    for i in 0..VIEWERS * TIER_FILES {
+        let got = warm
+            .retrieve(
+                &mut dht,
+                &registry,
+                u(i % VIEWERS),
+                tier_file(i / VIEWERS),
+                SimTime::ZERO,
+            )
+            .expect("online");
+        assert_eq!(
+            got.records.len() as u64,
+            TIER_OWNERS,
+            "every owner's record"
+        );
+    }
+    let hit = per_call_ns(20_000, |i| {
+        let got = warm
+            .retrieve(
+                &mut dht,
+                &registry,
+                u(i % VIEWERS),
+                tier_file(i / VIEWERS),
+                SimTime::ZERO,
+            )
+            .expect("online");
+        assert!(matches!(got.source, RetrievalSource::Cache { .. }));
+        black_box(got);
+    });
+    // One tick of TTL and one tick per call: every call misses.
+    let mut miss_row = |gossip: Option<GossipConfig>| {
+        let mut tier = EvaluationCacheTier::new(CacheTierConfig {
+            cache: CacheConfig {
+                ttl: SimDuration::from_ticks(1),
+                ..CacheConfig::default()
+            },
+            gossip,
+            ..CacheTierConfig::default()
+        });
+        let start = SimTime::from_ticks(1);
+        per_call_ns(200, |i| {
+            let now = start + SimDuration::from_ticks(i);
+            let got = tier
+                .retrieve(&mut dht, &registry, u(i % NODES), tier_file(i), now)
+                .expect("online");
+            assert_eq!(got.source, RetrievalSource::Network);
+            black_box(got);
+        })
+    };
+    let miss = miss_row(None);
+    let push = GossipConfig {
+        hot_threshold: 1,
+        ..GossipConfig::default()
+    };
+    let miss_push = miss_row(Some(push));
+    let delivery = (miss_push - miss) / push.fanout as f64;
+
     let mut table = Table::new(
         &format!("Overlay read path, {NODES} nodes, {OWNERS} owners per file ({label})"),
         &["op", "value", "unit", "nproc"],
@@ -136,6 +231,10 @@ fn main() {
         ("verify", verify / 1e3, "us"),
         ("retrieve_50_records", retrieve / 1e3, "us"),
         ("online_users", online / 1e3, "us"),
+        ("tier_hit_99_records", hit / 1e3, "us"),
+        ("tier_miss_99_records", miss / 1e3, "us"),
+        ("tier_miss_99_records_pushed", miss_push / 1e3, "us"),
+        ("gossip_delivery_99_records", delivery / 1e3, "us"),
         ("join_2000", join_ms, "ms"),
         ("overlay_rss_after_join", overlay_mb, "MB"),
     ];

@@ -1,4 +1,5 @@
-//! A per-node reputation cache: LRU + TTL eviction over DHT keys.
+//! A per-node reputation cache: LRU + TTL eviction over DHT keys (or any
+//! other small copyable key, such as a file id).
 //!
 //! The authoritative evaluation state lives in the overlay (and, in the
 //! simulator, in the `EvaluationStore`); a [`ReputationCache`] is the
@@ -16,6 +17,7 @@
 use crate::id::Key;
 use mdrep_types::{SimDuration, SimTime};
 use std::collections::HashMap;
+use std::hash::Hash;
 
 /// Capacity and TTL of a [`ReputationCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,7 +139,8 @@ struct Entry<V> {
     last_used: u64,
 }
 
-/// A deterministic LRU + TTL cache keyed by DHT [`Key`].
+/// A deterministic LRU + TTL cache keyed by DHT [`Key`] unless another
+/// key type `K` is named.
 ///
 /// # Examples
 ///
@@ -159,14 +162,14 @@ struct Entry<V> {
 /// assert!(cache.get(&key, SimTime::from_ticks(10)).is_none());
 /// ```
 #[derive(Debug, Clone)]
-pub struct ReputationCache<V> {
+pub struct ReputationCache<V, K = Key> {
     config: CacheConfig,
-    entries: HashMap<Key, Entry<V>>,
+    entries: HashMap<K, Entry<V>>,
     use_seq: u64,
     stats: CacheStats,
 }
 
-impl<V> ReputationCache<V> {
+impl<V, K: Copy + Eq + Hash> ReputationCache<V, K> {
     /// An empty cache with the given configuration.
     #[must_use]
     pub fn new(config: CacheConfig) -> Self {
@@ -205,7 +208,7 @@ impl<V> ReputationCache<V> {
     /// Looks `key` up at `now`, counting a hit or a miss. Entries at or
     /// past their expiry tick are evicted on contact and count as
     /// `expired_misses`.
-    pub fn get(&mut self, key: &Key, now: SimTime) -> Option<CacheHit<'_, V>> {
+    pub fn get(&mut self, key: &K, now: SimTime) -> Option<CacheHit<'_, V>> {
         self.stats.lookups += 1;
         if self.config.is_bypass() {
             self.stats.misses += 1;
@@ -244,7 +247,7 @@ impl<V> ReputationCache<V> {
     /// Whether a fresh entry exists for `key` at `now` (no counter
     /// updates, no eviction — a pure read for assertions and dedup).
     #[must_use]
-    pub fn contains_fresh(&self, key: &Key, now: SimTime) -> bool {
+    pub fn contains_fresh(&self, key: &K, now: SimTime) -> bool {
         self.entries
             .get(key)
             .is_some_and(|entry| entry.expires_at > now)
@@ -253,7 +256,7 @@ impl<V> ReputationCache<V> {
     /// Mutable access to a fresh entry's value (e.g. to merge a gossiped
     /// record into an existing array) without hit/miss accounting. An
     /// entry at or past expiry is evicted and `None` is returned.
-    pub fn value_mut(&mut self, key: &Key, now: SimTime) -> Option<&mut V> {
+    pub fn value_mut(&mut self, key: &K, now: SimTime) -> Option<&mut V> {
         if self.config.is_bypass() {
             return None;
         }
@@ -278,7 +281,7 @@ impl<V> ReputationCache<V> {
     /// recently used entry if the cache is full. A bypass configuration
     /// stores nothing; re-inserting a key refreshes its value, timestamp,
     /// and TTL.
-    pub fn insert(&mut self, key: Key, value: V, now: SimTime) {
+    pub fn insert(&mut self, key: K, value: V, now: SimTime) {
         if self.config.is_bypass() {
             return;
         }

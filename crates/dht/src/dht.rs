@@ -5,6 +5,7 @@ use crate::fault::{FaultInjector, FaultPlan, FaultTrace, RetryPolicy, RpcKind, R
 use crate::id::{DistanceKey, Key, NodeId};
 use crate::node::{Node, StoredValue};
 use mdrep_types::{SimDuration, SimTime, UserId};
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::error::Error;
 use std::fmt;
@@ -171,18 +172,30 @@ impl GetOutcome {
     }
 }
 
+/// Appends `value` to `values` unless an equal value is already there,
+/// keeping first-seen order. `by_bytes` holds `values`' positions sorted
+/// by the bytes they name, so the check is a binary search against the
+/// borrowed bytes and a value is copied only when it is new.
+fn push_new(values: &mut Vec<Vec<u8>>, by_bytes: &mut Vec<usize>, value: Cow<'_, [u8]>) {
+    if let Err(at) = by_bytes.binary_search_by(|&i| values[i].as_slice().cmp(&value)) {
+        by_bytes.insert(at, values.len());
+        values.push(value.into_owned());
+    }
+}
+
 /// The fate of one fire-and-forget gossip push.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GossipDelivery {
+pub enum GossipDelivery<'a> {
     /// The push reached an online receiver. `payloads` holds the record
-    /// bytes as received (tampered when the *sender* is byzantine);
-    /// `duplicated` means the network delivered it twice and the receiver
-    /// processes it twice (gossip handlers must deduplicate).
+    /// bytes as received: the sender's own bytes, or a tampered copy when
+    /// the *sender* is byzantine. `duplicated` means the network delivered
+    /// it twice and the receiver processes it twice (gossip handlers must
+    /// deduplicate).
     Delivered {
         /// Delivered twice by the duplication fault.
         duplicated: bool,
         /// Record bytes as they arrived.
-        payloads: Vec<Vec<u8>>,
+        payloads: Cow<'a, [Vec<u8>]>,
     },
     /// Lost, blocked, delayed past the timeout, or the receiver was
     /// offline or unknown. Fire-and-forget: nothing is retried.
@@ -534,7 +547,9 @@ impl Dht {
         // phase's annotations count the lookup's too.
         let retries_before = self.stats.retried;
         let mut outcome = GetOutcome::default();
-        let mut seen = BTreeSet::new();
+        // `outcome.values`' positions, ordered by their bytes: the set that
+        // deduplicates the replicas' answers without a second copy.
+        let mut by_bytes = Vec::new();
         for (_, target) in targets.iter().take(self.config.replication) {
             outcome.contacted += 1;
             let result = self.rpc_with_retry(RpcKind::FindValue, requester, *target, now);
@@ -546,20 +561,15 @@ impl Dht {
                 continue;
             }
             let byzantine = self.injector.plan().is_byzantine(node.user());
-            let mut served: Vec<Vec<u8>> = node
-                .get(&key, now)
-                .into_iter()
-                .map(|v| v.data.clone())
-                .collect();
-            if byzantine {
-                for value in &mut served {
-                    self.injector.tamper(value);
-                }
-            }
-            for value in served {
-                if seen.insert(value.clone()) {
-                    outcome.values.push(value);
-                }
+            for stored in node.get(&key, now) {
+                let value = if byzantine {
+                    let mut copy = stored.data.clone();
+                    self.injector.tamper(&mut copy);
+                    Cow::Owned(copy)
+                } else {
+                    Cow::Borrowed(stored.data.as_slice())
+                };
+                push_new(&mut outcome.values, &mut by_bytes, value);
             }
         }
         outcome.retries = self.stats.retried - retries_before;
@@ -635,15 +645,17 @@ impl Dht {
     /// Pushes `payloads` from `from` to `to` as one fire-and-forget gossip
     /// message through the fault injector — loss, partitions, delay, and
     /// duplication apply to cache traffic exactly as to lookups. Payloads
-    /// from a byzantine *sender* arrive tampered; receivers must verify
-    /// signatures. No retries: gossip redundancy is the repair mechanism.
-    pub fn send_gossip(
+    /// from a byzantine *sender* arrive as a tampered copy; any other
+    /// delivery lends the sender's bytes, so one push's payloads serve its
+    /// whole fan-out. Receivers must verify signatures. No retries: gossip
+    /// redundancy is the repair mechanism.
+    pub fn send_gossip<'a>(
         &mut self,
         from: UserId,
         to: UserId,
-        mut payloads: Vec<Vec<u8>>,
+        payloads: &'a [Vec<u8>],
         now: SimTime,
-    ) -> GossipDelivery {
+    ) -> GossipDelivery<'a> {
         let mut phase = mdrep_obs::phase("dht.gossip.push");
         phase.annotate("records", payloads.len());
         self.stats.gossip += 1;
@@ -683,11 +695,15 @@ impl Dht {
                 if duplicated {
                     self.stats.duplicated += 1;
                 }
-                if self.injector.plan().is_byzantine(from) {
-                    for payload in &mut payloads {
+                let payloads = if self.injector.plan().is_byzantine(from) {
+                    let mut copy = payloads.to_vec();
+                    for payload in &mut copy {
                         self.injector.tamper(payload);
                     }
-                }
+                    Cow::Owned(copy)
+                } else {
+                    Cow::Borrowed(payloads)
+                };
                 GossipDelivery::Delivered {
                     duplicated,
                     payloads,

@@ -229,7 +229,20 @@ impl EvaluationPublisher {
         file: FileId,
         now: SimTime,
     ) -> Result<RetrievalOutcome, DhtError> {
-        let got = dht.get(requester, Key::for_file(file), now)?;
+        self.retrieve_keyed(dht, registry, requester, Key::for_file(file), now)
+    }
+
+    /// [`retrieve_detailed`](Self::retrieve_detailed) under the file's
+    /// index key, for a caller that has already derived it.
+    pub(crate) fn retrieve_keyed(
+        &self,
+        dht: &mut Dht,
+        registry: &KeyRegistry,
+        requester: UserId,
+        key: Key,
+        now: SimTime,
+    ) -> Result<RetrievalOutcome, DhtError> {
+        let got = dht.get(requester, key, now)?;
         let mut undecodable = 0;
         let records = got
             .values

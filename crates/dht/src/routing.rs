@@ -112,22 +112,37 @@ impl RoutingTable {
     }
 
     /// [`closest`](Self::closest) with each peer's distance to `target`,
-    /// nearest first. Each distance is computed once; distinct ids have
-    /// distinct distances, so the order is total.
+    /// nearest first. Distinct ids have distinct distances, so the order is
+    /// total.
+    ///
+    /// The buckets are walked nearest group first, and the walk stops once
+    /// `count` peers are found. Relative to `own`, the target's bucket `b`
+    /// holds every peer closer than 2^b; the buckets below `b` all lie in
+    /// [2^b, 2^(b+1)) and come next, as one group; then each bucket above
+    /// `b` in turn, bucket `j` lying in [2^j, 2^(j+1)). A distance is
+    /// computed only for the groups walked, and each group is sorted on
+    /// its own. The target `own` itself has no bucket: every bucket is its
+    /// own group, ascending.
     pub(crate) fn closest_keyed(&self, target: &Key, count: usize) -> Vec<(DistanceKey, NodeId)> {
-        let mut keyed: Vec<(DistanceKey, NodeId)> = self
-            .entries
-            .iter()
-            .map(|e| (e.id.distance_key(target), e.id))
-            .collect();
-        if count == 0 {
-            keyed.clear();
-        } else if count < keyed.len() {
-            keyed.select_nth_unstable_by_key(count - 1, |&(d, _)| d);
-            keyed.truncate(count);
+        let mut out = Vec::with_capacity(count.min(self.entries.len()));
+        let (low, high) = match self.bucket_of(target) {
+            Some(b) => (
+                self.entries.partition_point(|e| e.bucket < b),
+                self.entries.partition_point(|e| e.bucket <= b),
+            ),
+            None => (0, 0),
+        };
+        let mut groups = [&self.entries[low..high], &self.entries[..low]]
+            .into_iter()
+            .chain(self.entries[high..].chunk_by(|a, b| a.bucket == b.bucket));
+        while out.len() < count {
+            let Some(group) = groups.next() else { break };
+            let start = out.len();
+            out.extend(group.iter().map(|e| (e.id.distance_key(target), e.id)));
+            out[start..].sort_unstable_by_key(|&(d, _)| d);
         }
-        keyed.sort_unstable_by_key(|&(d, _)| d);
-        keyed
+        out.truncate(count);
+        out
     }
 
     /// Total peers known.

@@ -23,7 +23,9 @@ use crate::fault::{fnv1a, mix3};
 use crate::id::Key;
 use mdrep_crypto::KeyRegistry;
 use mdrep_types::{FileId, SimDuration, SimTime, UserId};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -108,8 +110,10 @@ pub enum RetrievalSource {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedRetrieval {
     /// Signature-valid records (invalid ones are dropped before caching,
-    /// so cache and network paths agree on what "the records" means).
-    pub records: Vec<VerifiedEvaluation>,
+    /// so cache and network paths agree on what "the records" means). A
+    /// cache hit hands out the cached list itself; a later gossip merge
+    /// at that node replaces the cached list and leaves this one as it is.
+    pub records: Arc<[VerifiedEvaluation]>,
     /// Cache hit (with staleness) or network fetch.
     pub source: RetrievalSource,
     /// Replica holders the network path could not reach (always 0 on a
@@ -154,13 +158,14 @@ pub struct CachedRetrieval {
 pub struct EvaluationCacheTier {
     config: CacheTierConfig,
     publisher: EvaluationPublisher,
-    caches: HashMap<UserId, ReputationCache<Vec<VerifiedEvaluation>>>,
+    /// Per-node caches, keyed by file: a hit derives no DHT key.
+    caches: HashMap<UserId, ReputationCache<Arc<[VerifiedEvaluation]>, FileId>>,
     /// Per-receiver digests of gossip records already processed
     /// (duplicate suppression across pushes and in-transit duplication).
     seen: HashMap<UserId, BTreeSet<u64>>,
-    /// Network retrievals per key since the last push — the hot-file
+    /// Network retrievals per file since the last push — the hot-file
     /// detector.
-    hot: HashMap<Key, u64>,
+    hot: HashMap<FileId, u64>,
     gossip_pushes: u64,
     gossip: GossipStats,
     /// Offline replica holders named by network retrievals (the partial
@@ -234,54 +239,59 @@ impl EvaluationCacheTier {
         if !dht.is_online(requester) {
             return Err(DhtError::Offline(requester));
         }
-        let key = Key::for_file(file);
         let cache_config = self.config.cache;
         let cache = self
             .caches
             .entry(requester)
             .or_insert_with(|| ReputationCache::new(cache_config));
-        if let Some(hit) = cache.get(&key, now) {
+        if let Some(hit) = cache.get(&file, now) {
             mdrep_obs::global().counter_inc("dht.cache.hit");
             return Ok(CachedRetrieval {
-                records: hit.value.clone(),
+                records: Arc::clone(hit.value),
                 source: RetrievalSource::Cache { age: hit.age },
                 unreachable: 0,
             });
         }
         mdrep_obs::global().counter_inc("dht.cache.miss");
-        let outcome = self
+        let key = Key::for_file(file);
+        let mut outcome = self
             .publisher
-            .retrieve_detailed(dht, registry, requester, file, now)?;
-        let records: Vec<VerifiedEvaluation> = outcome.valid_records().cloned().collect();
-        self.unreachable_holders += outcome.unreachable.len() as u64;
-        if outcome.is_complete() {
+            .retrieve_keyed(dht, registry, requester, key, now)?;
+        let unreachable = outcome.unreachable.len();
+        let complete = outcome.is_complete();
+        // One exact-size list serves the caller, the cache and the push.
+        outcome.records.retain(|r| r.valid);
+        let records: Arc<[VerifiedEvaluation]> = outcome.records.into();
+        self.unreachable_holders += unreachable as u64;
+        if complete {
             let cache = self.caches.get_mut(&requester).expect("created above");
-            cache.insert(key, records.clone(), now);
+            cache.insert(file, Arc::clone(&records), now);
         } else {
             // A partial owner list must not be pinned for TTL ticks: serve
             // it once, knowingly, and let the next query retry the network.
             self.uncacheable_partial += 1;
         }
-        let hits = self.hot.entry(key).or_insert(0);
+        let hits = self.hot.entry(file).or_insert(0);
         *hits += 1;
         // Only a complete owner list is pushed: a peer would serve a
         // partial one for a full TTL, the harm the fill above refuses.
         let push = self
             .config
             .gossip
-            .filter(|g| *hits >= g.hot_threshold && outcome.is_complete() && !records.is_empty());
+            .filter(|g| *hits >= g.hot_threshold && complete && !records.is_empty());
         if let Some(gossip) = push {
-            self.hot.insert(key, 0);
-            self.push_hot(dht, registry, gossip, requester, key, &records, now);
+            *hits = 0;
+            self.push_hot(dht, registry, gossip, requester, file, key, &records, now);
         }
         Ok(CachedRetrieval {
             records,
             source: RetrievalSource::Network,
-            unreachable: outcome.unreachable.len(),
+            unreachable,
         })
     }
 
-    /// Pushes `records` to `fanout` deterministic online peers.
+    /// Pushes `records` to `fanout` deterministic online peers. The
+    /// records are encoded once, and every target is sent the same bytes.
     #[allow(clippy::too_many_arguments)]
     fn push_hot(
         &mut self,
@@ -289,6 +299,7 @@ impl EvaluationCacheTier {
         registry: &KeyRegistry,
         gossip: GossipConfig,
         from: UserId,
+        file: FileId,
         key: Key,
         records: &[VerifiedEvaluation],
         now: SimTime,
@@ -319,7 +330,7 @@ impl EvaluationCacheTier {
         }
         for target in chosen {
             self.gossip.pushes += 1;
-            match dht.send_gossip(from, target, payloads.clone(), now) {
+            match dht.send_gossip(from, target, &payloads, now) {
                 GossipDelivery::Failed => self.gossip.failed += 1,
                 GossipDelivery::Delivered {
                     duplicated,
@@ -330,24 +341,26 @@ impl EvaluationCacheTier {
                     // receiver; the seen-set must absorb the second pass.
                     let passes = if duplicated { 2 } else { 1 };
                     for _ in 0..passes {
-                        self.deliver(registry, target, key, &payloads, now);
+                        self.deliver(registry, target, file, &payloads, now);
                     }
                 }
             }
         }
     }
 
-    /// Processes one gossip delivery at `receiver`: decode, verify,
-    /// dedup, then merge into the receiver's cache.
+    /// Processes one gossip delivery at `receiver`: decode, verify, then
+    /// dedup each record, and merge the accepted ones into the receiver's
+    /// cache entry for `file` in one step.
     fn deliver(
         &mut self,
         registry: &KeyRegistry,
         receiver: UserId,
-        key: Key,
+        file: FileId,
         payloads: &[Vec<u8>],
         now: SimTime,
     ) {
-        let cache_config = self.config.cache;
+        let mut accepted = Vec::new();
+        let seen = self.seen.entry(receiver).or_default();
         for bytes in payloads {
             let Some(info) = EvaluationInfo::decode(bytes) else {
                 self.gossip.records_undecodable += 1;
@@ -357,30 +370,24 @@ impl EvaluationCacheTier {
                 self.gossip.records_rejected += 1;
                 continue;
             }
-            let digest = fnv1a(FNV_OFFSET, bytes);
-            if !self.seen.entry(receiver).or_default().insert(digest) {
+            if !seen.insert(fnv1a(FNV_OFFSET, bytes)) {
                 self.gossip.records_duplicate += 1;
                 continue;
             }
             self.gossip.records_accepted += 1;
-            let cache = self
-                .caches
-                .entry(receiver)
-                .or_insert_with(|| ReputationCache::new(cache_config));
-            let record = VerifiedEvaluation { info, valid: true };
-            match cache.value_mut(&key, now) {
-                Some(existing) => {
-                    if let Some(slot) = existing
-                        .iter_mut()
-                        .find(|r| r.info.owner == record.info.owner)
-                    {
-                        *slot = record;
-                    } else {
-                        existing.push(record);
-                    }
-                }
-                None => cache.insert(key, vec![record], now),
-            }
+            accepted.push(VerifiedEvaluation { info, valid: true });
+        }
+        if accepted.is_empty() {
+            return;
+        }
+        let cache_config = self.config.cache;
+        let cache = self
+            .caches
+            .entry(receiver)
+            .or_insert_with(|| ReputationCache::new(cache_config));
+        match cache.value_mut(&file, now) {
+            Some(existing) => *existing = merge_by_owner(existing.to_vec(), accepted),
+            None => cache.insert(file, merge_by_owner(Vec::new(), accepted), now),
         }
     }
 
@@ -425,9 +432,35 @@ impl EvaluationCacheTier {
 
     /// Read access to one node's cache (for assertions).
     #[must_use]
-    pub fn cache_of(&self, user: UserId) -> Option<&ReputationCache<Vec<VerifiedEvaluation>>> {
+    pub fn cache_of(
+        &self,
+        user: UserId,
+    ) -> Option<&ReputationCache<Arc<[VerifiedEvaluation]>, FileId>> {
         self.caches.get(&user)
     }
+}
+
+/// Merges gossiped records into an owner list, in arrival order: each
+/// record replaces the first slot with its owner, or is appended. One
+/// owner → slot index serves the whole merge.
+fn merge_by_owner(
+    mut list: Vec<VerifiedEvaluation>,
+    incoming: Vec<VerifiedEvaluation>,
+) -> Arc<[VerifiedEvaluation]> {
+    let mut slots: HashMap<UserId, usize> = HashMap::with_capacity(list.len() + incoming.len());
+    for (i, record) in list.iter().enumerate() {
+        slots.entry(record.info.owner).or_insert(i);
+    }
+    for record in incoming {
+        match slots.entry(record.info.owner) {
+            Entry::Occupied(slot) => list[*slot.get()] = record,
+            Entry::Vacant(slot) => {
+                slot.insert(list.len());
+                list.push(record);
+            }
+        }
+    }
+    list.into()
 }
 
 #[cfg(test)]
@@ -553,7 +586,7 @@ mod tests {
                 *peer != u(9)
                     && tier
                         .cache_of(*peer)
-                        .is_some_and(|c| c.contains_fresh(&Key::for_file(f(5)), SimTime::ZERO))
+                        .is_some_and(|c| c.contains_fresh(&f(5), SimTime::ZERO))
             })
             .collect();
         assert_eq!(prefilled.len(), 6);
@@ -632,7 +665,7 @@ mod tests {
         for peer in (0..20).map(u).filter(|p| *p != u(9)) {
             assert!(
                 tier.cache_of(peer)
-                    .is_none_or(|c| !c.contains_fresh(&Key::for_file(f(5)), SimTime::ZERO)),
+                    .is_none_or(|c| !c.contains_fresh(&f(5), SimTime::ZERO)),
                 "byzantine payload cached at {peer}"
             );
         }
@@ -658,7 +691,7 @@ mod tests {
         assert_eq!(tier.uncacheable_partial(), 1);
         assert!(
             tier.cache_of(u(9))
-                .is_none_or(|c| !c.contains_fresh(&Key::for_file(f(5)), SimTime::ZERO)),
+                .is_none_or(|c| !c.contains_fresh(&f(5), SimTime::ZERO)),
             "a partial result must not be pinned in the cache"
         );
         // Bring the overlay back: the next query retries the network and
@@ -673,7 +706,7 @@ mod tests {
         assert_eq!(outcome.records.len(), 1);
         assert!(tier
             .cache_of(u(9))
-            .is_some_and(|c| c.contains_fresh(&Key::for_file(f(5)), SimTime::from_ticks(1))));
+            .is_some_and(|c| c.contains_fresh(&f(5), SimTime::from_ticks(1))));
     }
 
     #[test]
@@ -712,7 +745,7 @@ mod tests {
         for peer in (0..20).map(u) {
             assert!(
                 tier.cache_of(peer)
-                    .is_none_or(|c| !c.contains_fresh(&file_key, SimTime::ZERO)),
+                    .is_none_or(|c| !c.contains_fresh(&f(5), SimTime::ZERO)),
                 "partial list cached at {peer}"
             );
         }
@@ -751,5 +784,146 @@ mod tests {
             second.due, first.skipped_offline,
             "skipped publishers stay due and catch up"
         );
+    }
+
+    /// Signs `owner`'s evaluation of `file` at `value`.
+    fn signed(registry: &KeyRegistry, owner: u64, file: u64, value: f64) -> VerifiedEvaluation {
+        let key = registry.key_of(u(owner)).unwrap();
+        let info = EvaluationInfo::signed(f(file), u(owner), Evaluation::new(value).unwrap(), key);
+        VerifiedEvaluation { info, valid: true }
+    }
+
+    #[test]
+    fn gossip_merge_replaces_the_first_owner_slot_and_appends_new_owners() {
+        let (_, registry) = setup(20, FaultPlan::none());
+        let mut tier = tier_no_gossip();
+        let receiver = u(4);
+        // Owner 1 holds two slots (two versions served by two replicas).
+        let cached = vec![
+            signed(&registry, 1, 5, 0.2),
+            signed(&registry, 2, 5, 0.5),
+            signed(&registry, 1, 5, 0.4),
+        ];
+        let cache = tier
+            .caches
+            .entry(receiver)
+            .or_insert_with(|| ReputationCache::new(CacheConfig::default()));
+        cache.insert(f(5), cached.clone().into(), SimTime::ZERO);
+        let incoming = [signed(&registry, 1, 5, 0.9), signed(&registry, 3, 5, 0.7)];
+        let payloads: Vec<Vec<u8>> = incoming.iter().map(|r| r.info.encode()).collect();
+
+        // The per-record loop the merge replaces: decode, verify, dedup,
+        // then a linear search for the owner's first slot.
+        let mut expected = cached;
+        let mut seen = BTreeSet::new();
+        let mut counters = GossipStats::default();
+        for bytes in &payloads {
+            let info = EvaluationInfo::decode(bytes).unwrap();
+            assert!(info.verify(&registry));
+            if !seen.insert(fnv1a(FNV_OFFSET, bytes)) {
+                counters.records_duplicate += 1;
+                continue;
+            }
+            counters.records_accepted += 1;
+            let record = VerifiedEvaluation { info, valid: true };
+            match expected
+                .iter_mut()
+                .find(|r| r.info.owner == record.info.owner)
+            {
+                Some(slot) => *slot = record,
+                None => expected.push(record),
+            }
+        }
+
+        tier.deliver(&registry, receiver, f(5), &payloads, SimTime::from_ticks(1));
+        let cache = tier.caches.get_mut(&receiver).unwrap();
+        let merged = cache.get(&f(5), SimTime::from_ticks(1)).unwrap().value;
+        assert_eq!(**merged, expected[..]);
+        assert_eq!(
+            merged[0], incoming[0],
+            "the first slot of owner 1 is replaced"
+        );
+        assert!((merged[2].info.evaluation.value() - 0.4).abs() < 1e-12);
+        assert_eq!(merged[3], incoming[1], "the new owner is appended");
+        assert_eq!(tier.gossip_stats(), counters);
+    }
+
+    #[test]
+    fn hits_share_the_cached_list_and_merges_leave_it_as_handed_out() {
+        let (mut dht, registry) = setup(20, FaultPlan::none());
+        let mut tier = tier_no_gossip();
+        let key = registry.key_of(u(1)).unwrap().clone();
+        tier.publish(&mut dht, &key, u(1), f(5), Evaluation::BEST, SimTime::ZERO)
+            .unwrap();
+        let fill = tier
+            .retrieve(&mut dht, &registry, u(9), f(5), SimTime::ZERO)
+            .unwrap();
+        let hit = tier
+            .retrieve(&mut dht, &registry, u(9), f(5), SimTime::from_ticks(1))
+            .unwrap();
+        assert!(matches!(hit.source, RetrievalSource::Cache { .. }));
+        assert!(
+            Arc::ptr_eq(&fill.records, &hit.records),
+            "a hit is the list the fill stored"
+        );
+
+        let handed_out = hit.records.to_vec();
+        let payloads = vec![signed(&registry, 2, 5, 0.3).info.encode()];
+        tier.deliver(&registry, u(9), f(5), &payloads, SimTime::from_ticks(2));
+        assert_eq!(*hit.records, handed_out[..], "the merge copies on write");
+        assert_eq!(*fill.records, handed_out[..]);
+        let after = tier
+            .retrieve(&mut dht, &registry, u(9), f(5), SimTime::from_ticks(3))
+            .unwrap();
+        assert_eq!(after.records.len(), 2, "later hits see the merged list");
+        assert!(!Arc::ptr_eq(&after.records, &hit.records));
+    }
+
+    #[test]
+    fn a_byzantine_sender_tampers_each_delivered_copy_once() {
+        let plan = FaultPlan::none().with_seed(11).with_byzantine(u(9));
+        let (mut dht, registry) = setup(20, plan);
+        let mut tier = EvaluationCacheTier::new(CacheTierConfig {
+            gossip: Some(GossipConfig {
+                fanout: 4,
+                hot_threshold: 1,
+                seed: 2,
+            }),
+            ..CacheTierConfig::default()
+        });
+        for owner in 1..4 {
+            let key = registry.key_of(u(owner)).unwrap().clone();
+            tier.publish(
+                &mut dht,
+                &key,
+                u(owner),
+                f(5),
+                Evaluation::BEST,
+                SimTime::ZERO,
+            )
+            .unwrap();
+        }
+        // What the fill's own read tampers (the byzantine requester may
+        // hold a replica), measured on an identical read.
+        let before = dht.fault_trace().tampered;
+        dht.get(u(9), Key::for_file(f(5)), SimTime::ZERO).unwrap();
+        let read_tampers = dht.fault_trace().tampered - before;
+
+        let before = dht.fault_trace().tampered;
+        let fill = tier
+            .retrieve(&mut dht, &registry, u(9), f(5), SimTime::ZERO)
+            .unwrap();
+        let records = fill.records.len() as u64;
+        let gossip = tier.gossip_stats();
+        assert!(records > 0);
+        assert_eq!((gossip.pushes, gossip.delivered), (4, 4));
+        assert_eq!(
+            dht.fault_trace().tampered - before,
+            read_tampers + records * gossip.delivered,
+            "one tamper per record per delivered push"
+        );
+        // A copy tampered twice would flip its byte back and verify.
+        assert_eq!(gossip.records_rejected, records * gossip.delivered);
+        assert_eq!(gossip.records_accepted, 0);
     }
 }

@@ -305,7 +305,7 @@ proptest! {
             match (a, b) {
                 (Ok(cached), Ok(direct)) => {
                     prop_assert_eq!(cached.source, RetrievalSource::Network, "ttl 0 never hits");
-                    prop_assert_eq!(cached.records, direct.records);
+                    prop_assert_eq!(&*cached.records, &direct.records[..]);
                     prop_assert_eq!(cached.unreachable, direct.unreachable.len());
                 }
                 (Err(ea), Err(eb)) => prop_assert_eq!(ea, eb),

@@ -168,7 +168,7 @@ fn run_overlay() -> Run {
                     RetrievalSource::Cache { .. } => 1,
                 };
                 answers = fnv(answers, &[source]);
-                for record in &got.records {
+                for record in got.records.iter() {
                     answers = fnv(answers, &record.info.owner.as_u64().to_le_bytes());
                     answers = fnv(answers, &[u8::from(record.valid)]);
                     answers = fnv(
@@ -305,14 +305,32 @@ proptest! {
         for (t, &i) in observed.iter().enumerate() {
             table.observe(ids[i], SimTime::from_ticks(t as u64));
         }
-        let target = Key::for_content(&target_seed.to_le_bytes());
         let mut known: Vec<NodeId> = ids.iter().copied().filter(|id| table.contains(id)).collect();
         known.sort();
         known.dedup();
         prop_assert_eq!(known.len(), table.len());
-        known.sort_by_key(|id| id.distance(&target));
-        known.truncate(count);
-        prop_assert_eq!(table.closest(&target, count), known);
+        prop_assert!(table.len() < 40, "a count past the table size is drawn");
+        // Besides a random target, which lands in a high, full bucket of
+        // `own`'s: `own` itself (no bucket), a table member (distance 0)
+        // and `own` with one low bit flipped (a low, often empty bucket).
+        let mut near_own = *own.as_bytes();
+        near_own[19] ^= 1 << (target_seed % 8);
+        let mut targets = vec![
+            Key::for_content(&target_seed.to_le_bytes()),
+            own,
+            Key::from_bytes(near_own),
+        ];
+        if !known.is_empty() {
+            targets.push(known[(target_seed % known.len() as u64) as usize]);
+        }
+        for target in targets {
+            let mut nearest = known.clone();
+            nearest.sort_by_key(|id| id.distance(&target));
+            for count in [count, table.len() + 1] {
+                let expected = &nearest[..count.min(nearest.len())];
+                prop_assert_eq!(table.closest(&target, count), expected, "target {:?}, count {}", target, count);
+            }
+        }
     }
 
     #[test]
