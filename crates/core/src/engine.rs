@@ -19,9 +19,10 @@ use crate::reputation::ReputationMatrix;
 use crate::sharded::EngineEvent;
 use crate::snapshot::EngineSnapshot;
 use crate::user_trust::UserTrust;
-use crate::volume_trust::VolumeTrust;
+use crate::volume_trust::{VolumeTerm, VolumeTrust};
 use mdrep_matrix::{
-    blend_entries, map_chunks, normalized_entries, CsrMatrix, PositionRun, UserIndex,
+    blend_entries, blend_entries_into, map_chunks, normalize_entries_into, normalized_entries,
+    CsrMatrix, PositionRun, UserIndex,
 };
 use mdrep_types::{Evaluation, FileId, FileSize, SimTime, UserId};
 use mdrep_workload::{Catalog, TraceEvent};
@@ -154,36 +155,49 @@ impl Columns {
             .position(id)
             .expect("every row and column is interned before integrate")
     }
+}
 
-    /// `row` with its columns resolved through the index. The collect
-    /// reuses the row's buffer: a position pair is the size of an id pair.
-    fn resolve(&self, row: Row) -> Vec<(u32, f64)> {
-        row.into_iter()
-            .map(|(c, v)| (self.position(c), v))
-            .collect()
-    }
+/// One worker's buffers, reused for every row it builds: Equation 4's
+/// terms and the raw `VD` or `UT` row a `DM` or `UM` row is normalized
+/// from, and, in a rebuild of every row, the `FM`/`DM`/`UM`/`TM` rows in
+/// positions. Allocating them afresh per row made the workers of a
+/// rebuild of every row contend on the allocator.
+#[derive(Default)]
+struct Scratch {
+    terms: Vec<VolumeTerm>,
+    raw: Row,
+    rows: [Vec<(u32, f64)>; 4],
 }
 
 impl RowSources<'_> {
     /// Equation 5's `DM` row of `u`.
-    fn dm_row(&self, u: UserId) -> Row {
-        normalized_entries(self.volume.vd_row(u, self.evals, self.now, self.params))
+    fn dm_row(&self, u: UserId, scratch: &mut Scratch) -> Row {
+        self.volume.vd_row_into(
+            u,
+            self.evals,
+            self.now,
+            self.params,
+            &mut scratch.terms,
+            &mut scratch.raw,
+        );
+        normalized_entries(scratch.raw.iter().copied())
     }
 
     /// Equation 6's `UM` row of `u`.
-    fn um_row(&self, u: UserId) -> Row {
-        normalized_entries(self.user_trust.ut_row(u))
+    fn um_row(&self, u: UserId, scratch: &mut Scratch) -> Row {
+        self.user_trust.ut_row_into(u, &mut scratch.raw);
+        normalized_entries(scratch.raw.iter().copied())
     }
 
-    /// Equation 7 over one row's `FM`/`DM`/`UM` rows, in either column
-    /// space.
-    fn blend<K: Copy + Ord>(&self, rows: [&[(K, f64)]; 3]) -> Vec<(K, f64)> {
+    /// Equation 7's weighted parts over one row's `FM`/`DM`/`UM` rows, in
+    /// either column space.
+    fn weighted<'r, K>(&self, rows: [&'r [(K, f64)]; 3]) -> [(f64, &'r [(K, f64)]); 3] {
         let w = self.params.weights();
-        blend_entries([
+        [
             (w.alpha(), rows[0]),
             (w.beta(), rows[1]),
             (w.gamma(), rows[2]),
-        ])
+        ]
     }
 
     /// Rebuilds dirty row `u`: Equations 3, 5 and 6 for each component
@@ -194,47 +208,55 @@ impl RowSources<'_> {
         u: UserId,
         dirty: &[Vec<UserId>; 3],
         previous: &TrustComponents,
+        scratch: &mut Scratch,
     ) -> RowParts {
-        let fresh: [&dyn Fn() -> Row; 3] = [
-            &|| normalized_entries(self.ft.row_entries(u)),
-            &|| self.dm_row(u),
-            &|| self.um_row(u),
-        ];
         // `(rebuilt, row)` per store: the fresh row, or the previous
         // matrix's row when the store finds it clean.
         let rows: [(bool, Row); 3] = std::array::from_fn(|store| {
-            if dirty[store].binary_search(&u).is_ok() {
-                (true, fresh[store]())
-            } else {
+            if dirty[store].binary_search(&u).is_err() {
                 let previous = [&previous.fm, &previous.dm, &previous.um][store];
-                (false, previous.row_entries(u).collect())
+                return (false, previous.row_entries(u).collect());
             }
+            let fresh = match store {
+                0 => normalized_entries(self.ft.row_entries(u)),
+                1 => self.dm_row(u, scratch),
+                _ => self.um_row(u, scratch),
+            };
+            (true, fresh)
         });
-        let tm = self.blend([&rows[0].1[..], &rows[1].1[..], &rows[2].1[..]]);
+        let tm = blend_entries(self.weighted([&rows[0].1[..], &rows[1].1[..], &rows[2].1[..]]));
         RowParts {
             parts: rows.map(|(rebuilt, row)| rebuilt.then_some(row)),
             tm,
         }
     }
 
-    /// Rebuilds row `u` of a rebuild of every row, in positions of
-    /// `columns.index`: the `FM`, `DM`, `UM` and `TM` rows. `FT`'s columns
-    /// map through the position table; `DM`'s and `UM`'s resolve through
-    /// the index. Positions follow id order, so the rows carry the bits the
-    /// id-space kernels give.
-    fn position_rows(&self, u: UserId, columns: &Columns) -> [Vec<(u32, f64)>; 4] {
-        let fm = self.ft.index().position(u).map_or_else(Vec::new, |at| {
-            let (cols, vals) = self.ft.position_row(at);
-            normalized_entries(
-                cols.iter()
-                    .map(|&c| columns.ft[c as usize])
-                    .zip(vals.iter().copied()),
-            )
-        });
-        let dm = columns.resolve(self.dm_row(u));
-        let um = columns.resolve(self.um_row(u));
-        let tm = self.blend([&fm[..], &dm[..], &um[..]]);
-        [fm, dm, um, tm]
+    /// Rebuilds row `u` of a rebuild of every row into `scratch.rows`, in
+    /// positions of `columns.index`: the `FM`, `DM`, `UM` and `TM` rows.
+    /// `FT`'s columns map through the position table; `DM`'s and `UM`'s
+    /// resolve through the index. Positions follow id order, so the rows
+    /// carry the bits the id-space kernels give.
+    fn position_rows_into(&self, u: UserId, columns: &Columns, scratch: &mut Scratch) {
+        let Scratch { terms, raw, rows } = scratch;
+        let [fm, dm, um, tm] = rows;
+        match self.ft.index().position(u) {
+            Some(at) => {
+                let (cols, vals) = self.ft.position_row(at);
+                normalize_entries_into(
+                    cols.iter()
+                        .map(|&c| columns.ft[c as usize])
+                        .zip(vals.iter().copied()),
+                    fm,
+                );
+            }
+            None => fm.clear(),
+        }
+        self.volume
+            .vd_row_into(u, self.evals, self.now, self.params, terms, raw);
+        normalize_entries_into(raw.iter().map(|&(c, v)| (columns.position(c), v)), dm);
+        self.user_trust.ut_row_into(u, raw);
+        normalize_entries_into(raw.iter().map(|&(c, v)| (columns.position(c), v)), um);
+        blend_entries_into(self.weighted([fm, dm, um]), tm);
     }
 }
 
@@ -535,7 +557,8 @@ impl ReputationEngine {
     ///    per range builds each row's `FM`/`DM`/`UM` rows and its blended
     ///    `TM` row — by id for dirty rows ([`RowSources::build_row`]); for
     ///    every row, in positions of one index interned from the stores
-    ///    before the workers start ([`RowSources::position_rows`]). Rows
+    ///    before the workers start ([`RowSources::position_rows_into`]),
+    ///    each worker reusing one [`Scratch`] for all of its rows. Rows
     ///    are pure functions of the stores, which stay immutable during
     ///    the pass, and the partition depends only on the row set and
     ///    [`Params::threads`](crate::Params::threads) — so the result is
@@ -604,9 +627,14 @@ impl ReputationEngine {
                 let patches: Vec<RowPatch> = {
                     let _phase = mdrep_obs::phase("engine.recompute.integrate");
                     map_chunks(&rows, threads, |shard| {
+                        let mut scratch = Scratch::default();
                         shard
                             .iter()
-                            .map(|&u| sources.build_row(u, &sets, &comps).into_patch(u))
+                            .map(|&u| {
+                                sources
+                                    .build_row(u, &sets, &comps, &mut scratch)
+                                    .into_patch(u)
+                            })
                             .collect::<Vec<_>>()
                     })
                     .into_iter()
@@ -695,12 +723,12 @@ impl ReputationEngine {
                         }
                         let [fm, dm, um] = bounds;
                         let mut runs = [fm, dm, um, fm + dm + um].map(PositionRun::with_capacity);
+                        let mut scratch = Scratch::default();
                         for &u in shard {
+                            sources.position_rows_into(u, &columns, &mut scratch);
                             let at = columns.position(u);
-                            for (run, row) in
-                                runs.iter_mut().zip(sources.position_rows(u, &columns))
-                            {
-                                run.push_row(at, &row);
+                            for (run, row) in runs.iter_mut().zip(&scratch.rows) {
+                                run.push_row(at, row);
                             }
                         }
                         runs

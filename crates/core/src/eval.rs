@@ -234,6 +234,12 @@ impl EvaluationStore {
         self.records.get(&user).and_then(|m| m.get(&file))
     }
 
+    /// `user`'s live records, keyed by file in ascending order; `None` when
+    /// the user has none.
+    pub(crate) fn records_of(&self, user: UserId) -> Option<&BTreeMap<FileId, EvaluationRecord>> {
+        self.records.get(&user)
+    }
+
     /// Equation 1 for `(user, file)` at `now`; `None` when no record exists.
     #[must_use]
     pub fn evaluation(

@@ -138,16 +138,23 @@ impl UserTrust {
     /// normalizes this row.
     #[must_use]
     pub fn ut_row(&self, rater: UserId) -> Vec<(UserId, f64)> {
-        self.ratings
-            .get(&rater)
-            .map(|targets| {
+        let mut row = Vec::new();
+        self.ut_row_into(rater, &mut row);
+        row
+    }
+
+    /// [`ut_row`](Self::ut_row) into `row`, which is cleared first, so a
+    /// worker reuses it for every row it builds.
+    pub(crate) fn ut_row_into(&self, rater: UserId, row: &mut Vec<(UserId, f64)>) {
+        row.clear();
+        if let Some(targets) = self.ratings.get(&rater) {
+            row.extend(
                 targets
                     .iter()
                     .filter(|(_, v)| v.value() > 0.0)
-                    .map(|(&t, v)| (t, v.value()))
-                    .collect()
-            })
-            .unwrap_or_default()
+                    .map(|(&t, v)| (t, v.value())),
+            );
+        }
     }
 }
 

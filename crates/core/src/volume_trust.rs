@@ -13,6 +13,37 @@ use crate::params::Params;
 use mdrep_types::{FileId, FileSize, SimTime, UserId};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// One term of Equation 4 as a row rebuild collects it: the uploader, the
+/// download's place in the download order, and `E_ik·S_k`.
+pub(crate) type VolumeTerm = (UserId, u64, f64);
+
+/// One logged download.
+#[derive(Debug, Clone, Copy)]
+struct Download {
+    file: FileId,
+    /// Its place in the order of every download the store has logged.
+    seq: u64,
+    uploader: UserId,
+    size: FileSize,
+}
+
+/// One downloader's log: every download it made, in one array sorted by
+/// file and then by download order, so a row rebuild finds the downloads
+/// of each file it still holds a record for by binary search.
+#[derive(Debug, Clone, Default)]
+struct DownloadLog {
+    entries: Vec<Download>,
+    /// Per uploader, how many entries name it.
+    uploads: BTreeMap<UserId, usize>,
+}
+
+impl DownloadLog {
+    /// The distinct uploaders the log names, ascending.
+    fn keys(&self) -> impl Iterator<Item = &UserId> + '_ {
+        self.uploads.keys()
+    }
+}
+
 /// Accumulates download records and computes `VD` (Equation 4), the rows
 /// `DM` normalizes.
 ///
@@ -40,9 +71,13 @@ use std::collections::{BTreeMap, BTreeSet};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct VolumeTrust {
-    /// `downloader → uploader → [(file, size)]`, row-major so a single
-    /// downloader's `VD` row can be rebuilt without touching the rest.
-    downloads: BTreeMap<UserId, BTreeMap<UserId, Vec<(FileId, FileSize)>>>,
+    /// `downloader → log`, row-major so a single downloader's `VD` row can
+    /// be rebuilt without touching the rest. Nothing is pruned: a file
+    /// downloaded again after its record expired counts its old downloads
+    /// again.
+    downloads: BTreeMap<UserId, DownloadLog>,
+    /// The `seq` the next logged download gets.
+    next_seq: u64,
     /// Downloaders whose `VD`/`DM` row must be rebuilt. A row depends only
     /// on the downloader's own evaluations and download log, so events only
     /// ever dirty single rows (plus, on user removal, every downloader that
@@ -67,32 +102,46 @@ impl VolumeTrust {
         file: FileId,
         size: FileSize,
     ) {
-        let files = self
-            .downloads
-            .entry(downloader)
-            .or_default()
-            .entry(uploader)
-            .or_default();
-        if files.is_empty() {
+        let log = self.downloads.entry(downloader).or_default();
+        let count = log.uploads.entry(uploader).or_default();
+        if *count == 0 {
             self.uploaders.add(uploader);
         }
-        files.push((file, size));
+        *count += 1;
+        // The newest download of `file` goes after its earlier ones.
+        let at = log.entries.partition_point(|d| d.file <= file);
+        log.entries.insert(
+            at,
+            Download {
+                file,
+                seq: self.next_seq,
+                uploader,
+                size,
+            },
+        );
+        self.next_seq += 1;
         self.dirty.insert(downloader);
     }
 
     /// Forgets everything involving `user` (whitewash handling). Dirties
     /// `user` and every downloader that had `user` as an uploader.
     pub fn remove_user(&mut self, user: UserId) {
-        for &uploader in self.downloads.remove(&user).iter().flat_map(BTreeMap::keys) {
+        for &uploader in self
+            .downloads
+            .remove(&user)
+            .iter()
+            .flat_map(DownloadLog::keys)
+        {
             self.uploaders.remove(uploader);
         }
-        for (&downloader, uploads) in &mut self.downloads {
-            if uploads.remove(&user).is_some() {
+        for (&downloader, log) in &mut self.downloads {
+            if log.uploads.remove(&user).is_some() {
+                log.entries.retain(|d| d.uploader != user);
                 self.dirty.insert(downloader);
             }
         }
         self.uploaders.forget(user);
-        self.downloads.retain(|_, uploads| !uploads.is_empty());
+        self.downloads.retain(|_, log| !log.entries.is_empty());
         self.dirty.insert(user);
     }
 
@@ -134,13 +183,17 @@ impl VolumeTrust {
     /// the length of its `VD` row.
     #[must_use]
     pub fn uploader_count(&self, downloader: UserId) -> usize {
-        self.downloads.get(&downloader).map_or(0, BTreeMap::len)
+        self.downloads
+            .get(&downloader)
+            .map_or(0, |log| log.uploads.len())
     }
 
     /// One row of Equation 4: `downloader`'s valid download volume per
-    /// uploader at `now`, accumulated in a fixed order (uploaders
-    /// ascending, files in download order) — the row every `DM` rebuild
-    /// normalizes.
+    /// uploader at `now`, in ascending uploader order — the row every `DM`
+    /// rebuild normalizes. Only files the downloader still holds a record
+    /// for contribute; every download of such a file counts, with the
+    /// record's evaluation, and each uploader's terms add up in download
+    /// order.
     #[must_use]
     pub fn vd_row(
         &self,
@@ -150,20 +203,54 @@ impl VolumeTrust {
         params: &Params,
     ) -> Vec<(UserId, f64)> {
         let mut row = Vec::new();
-        if let Some(uploads) = self.downloads.get(&downloader) {
-            for (&uploader, files) in uploads {
-                let mut volume = 0.0;
-                for &(file, size) in files {
-                    if let Some(e) = evals.evaluation(downloader, file, now, params) {
-                        volume += e.value() * size.as_mib_f64();
-                    }
-                }
-                if volume > 0.0 {
-                    row.push((uploader, volume));
-                }
+        self.vd_row_into(downloader, evals, now, params, &mut Vec::new(), &mut row);
+        row
+    }
+
+    /// [`vd_row`](Self::vd_row) into `row`, with `terms` as working space;
+    /// both buffers are cleared first, so a worker reuses them for every
+    /// row it builds. The cost follows the downloader's live records, not
+    /// the length of its log.
+    pub(crate) fn vd_row_into(
+        &self,
+        downloader: UserId,
+        evals: &EvaluationStore,
+        now: SimTime,
+        params: &Params,
+        terms: &mut Vec<VolumeTerm>,
+        row: &mut Vec<(UserId, f64)>,
+    ) {
+        terms.clear();
+        row.clear();
+        let (Some(log), Some(records)) = (
+            self.downloads.get(&downloader),
+            evals.records_of(downloader),
+        ) else {
+            return;
+        };
+        // Both sides ascend by file: each record's downloads start where
+        // the previous record's search left off.
+        let mut rest = &log.entries[..];
+        for (&file, record) in records {
+            rest = &rest[rest.partition_point(|d| d.file < file)..];
+            let len = rest.partition_point(|d| d.file == file);
+            if len > 0 {
+                let e = record.evaluation(now, params).value();
+                terms.extend(
+                    rest[..len]
+                        .iter()
+                        .map(|d| (d.uploader, d.seq, e * d.size.as_mib_f64())),
+                );
+                rest = &rest[len..];
             }
         }
-        row
+        terms.sort_unstable_by_key(|&(uploader, seq, _)| (uploader, seq));
+        for run in terms.chunk_by(|a, b| a.0 == b.0) {
+            let volume = run.iter().fold(0.0, |sum, &(_, _, term)| sum + term);
+            if volume > 0.0 {
+                row.push((run[0].0, volume));
+            }
+        }
     }
 }
 
@@ -376,6 +463,84 @@ mod tests {
                 "step {step}"
             );
         }
+    }
+
+    #[test]
+    fn a_redownload_counts_the_old_download_again() {
+        // Votes taken verbatim; records live one day.
+        let params = Params::builder()
+            .eta(0.0)
+            .evaluation_interval(SimDuration::from_days(1))
+            .build()
+            .unwrap();
+        let mut evals = EvaluationStore::new();
+        let mut vt = VolumeTrust::new();
+        let day = |d: u64| SimTime::ZERO + SimDuration::from_days(d);
+        let half = Evaluation::new(0.5).unwrap();
+        let row =
+            |vt: &VolumeTrust, evals: &EvaluationStore, now| vt.vd_row(u(0), evals, now, &params);
+
+        // Day 0: 100 MiB of file 0 from uploader 1, rated 0.5.
+        evals.record_download(day(0), u(0), f(0));
+        evals.record_vote(day(0), u(0), f(0), half);
+        vt.record_download(u(0), u(1), f(0), FileSize::from_mib(100));
+        assert_eq!(row(&vt, &evals, day(0)), vec![(u(1), 50.0)]);
+
+        // Day 2: the record has expired, so the download weighs nothing,
+        // though the log keeps it.
+        assert_eq!(evals.expire(day(2), &params), 1);
+        assert!(row(&vt, &evals, day(2)).is_empty());
+        assert_eq!(vt.uploader_count(u(0)), 1);
+
+        // Day 2: file 0 again, from uploader 2, rated 1; then 40 MiB of
+        // file 1 from uploader 1, rated 0.5. The old download of file 0
+        // counts again with the new record's evaluation, and uploader 1's
+        // terms add up in download order: 100·1 + 40·0.5.
+        evals.record_download(day(2), u(0), f(0));
+        evals.record_vote(day(2), u(0), f(0), Evaluation::BEST);
+        vt.record_download(u(0), u(2), f(0), FileSize::from_mib(100));
+        evals.record_download(day(2), u(0), f(1));
+        evals.record_vote(day(2), u(0), f(1), half);
+        vt.record_download(u(0), u(1), f(1), FileSize::from_mib(40));
+        assert_eq!(row(&vt, &evals, day(2)), vec![(u(1), 120.0), (u(2), 100.0)]);
+
+        // Removing uploader 1 drops both its downloads from the log and
+        // keeps uploader 2's download of the same file.
+        vt.take_dirty();
+        vt.remove_user(u(1));
+        assert_eq!(vt.take_dirty(), vec![u(0), u(1)]);
+        assert_eq!(row(&vt, &evals, day(2)), vec![(u(2), 100.0)]);
+        assert_eq!(vt.uploader_count(u(0)), 1);
+        assert_eq!(vt.uploaders().collect::<Vec<_>>(), vec![u(2)]);
+
+        // A log left empty drops its row.
+        vt.remove_user(u(2));
+        assert_eq!(vt.row_count(), 0);
+        assert!(row(&vt, &evals, day(2)).is_empty());
+    }
+
+    #[test]
+    fn terms_add_up_in_download_order() {
+        // Rounding tells the orders apart: (0.1 + 0.2) + 0.6 in download
+        // order, (0.6 + 0.1) + 0.2 in file order.
+        let (mut evals, params) = setup();
+        let mut vt = VolumeTrust::new();
+        for (file, value) in [(1, 0.1), (2, 0.2), (0, 0.6)] {
+            evals.record_download(SimTime::ZERO, u(0), f(file));
+            evals.record_vote(
+                SimTime::ZERO,
+                u(0),
+                f(file),
+                Evaluation::new(value).unwrap(),
+            );
+            vt.record_download(u(0), u(1), f(file), FileSize::from_mib(1));
+        }
+        let download_order = (0.1 + 0.2) + 0.6;
+        assert_ne!(download_order, (0.6 + 0.1) + 0.2);
+        assert_eq!(
+            vt.vd_row(u(0), &evals, SimTime::ZERO, &params),
+            vec![(u(1), download_order)]
+        );
     }
 
     #[test]

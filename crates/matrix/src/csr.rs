@@ -1282,7 +1282,10 @@ pub fn map_chunks<I: Sync, T: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{blend, blend_entries, blend_row, normalized_entries, normalized_row};
+    use crate::{
+        blend, blend_entries, blend_entries_into, blend_row, normalize_entries_into,
+        normalized_entries, normalized_row,
+    };
 
     fn u(i: u64) -> UserId {
         UserId::new(i)
@@ -1667,6 +1670,15 @@ mod tests {
                     bits(&reference),
                     "blend by position"
                 );
+                // The buffer forms clear what the last row left behind.
+                let mut reused = vec![(u32::MAX, 1.0); 3];
+                normalize_entries_into(raw_row(0).map(|(c, v)| (position(c), v)), &mut reused);
+                assert_eq!(reused, positioned[0], "normalize into a used buffer");
+                blend_entries_into::<_, 3>(
+                    std::array::from_fn(|k| (weights[k], &positioned[k][..])),
+                    &mut reused,
+                );
+                assert_eq!(reused, by_position, "blend into a used buffer");
             }
         }
     }

@@ -50,8 +50,10 @@ pub use csr::{
 };
 pub use eigen::{principal_eigenvector, EigenOptions, EigenResult};
 pub use ops::{
-    blend, blend_entries, blend_parallel, blend_row, build_rows_parallel, BlendError, PowerOptions,
+    blend, blend_entries, blend_entries_into, blend_parallel, blend_row, build_rows_parallel,
+    BlendError, PowerOptions,
 };
 pub use sparse::{
-    normalize_row_mut, normalized_entries, normalized_row, MatrixError, SparseMatrix, SparseVector,
+    normalize_entries_into, normalize_row_mut, normalized_entries, normalized_row, MatrixError,
+    SparseMatrix, SparseVector,
 };

@@ -105,9 +105,21 @@ pub fn blend_row(parts: &[(f64, &SparseMatrix)], row: UserId) -> SparseVector {
 pub fn blend_entries<K: Copy + Ord, const N: usize>(
     parts: [(f64, &[(K, f64)]); N],
 ) -> Vec<(K, f64)> {
+    let mut out = Vec::new();
+    blend_entries_into(parts, &mut out);
+    out
+}
+
+/// [`blend_entries`] into a caller's buffer: `out` is cleared, then filled
+/// with the same entries, so a worker that blends many rows reuses one
+/// allocation for all of them.
+pub fn blend_entries_into<K: Copy + Ord, const N: usize>(
+    parts: [(f64, &[(K, f64)]); N],
+    out: &mut Vec<(K, f64)>,
+) {
+    out.clear();
     let parts = parts.map(|(w, row)| (w, if w == 0.0 { &[][..] } else { row }));
     let mut at = [0usize; N];
-    let mut out = Vec::new();
     while let Some(c) = (0..N)
         .filter_map(|k| parts[k].1.get(at[k]).map(|e| e.0))
         .min()
@@ -125,7 +137,6 @@ pub fn blend_entries<K: Copy + Ord, const N: usize>(
             out.push((c, sum));
         }
     }
-    out
 }
 
 /// Equation 7 computed across `threads` OS threads: the union of row ids is

@@ -76,14 +76,28 @@ pub fn normalize_row_mut(row: &mut SparseVector) -> bool {
 /// either space, with the same bits.
 #[must_use]
 pub fn normalized_entries<K>(raw: impl IntoIterator<Item = (K, f64)> + Clone) -> Vec<(K, f64)> {
+    let mut out = Vec::new();
+    normalize_entries_into(raw, &mut out);
+    out
+}
+
+/// [`normalized_entries`] into a caller's buffer: `out` is cleared, then
+/// filled with the same entries, so a worker that builds many rows reuses
+/// one allocation for all of them.
+pub fn normalize_entries_into<K>(
+    raw: impl IntoIterator<Item = (K, f64)> + Clone,
+    out: &mut Vec<(K, f64)>,
+) {
+    out.clear();
     let sum: f64 = raw.clone().into_iter().map(|(_, v)| v).sum();
     if sum <= 0.0 {
-        return Vec::new();
+        return;
     }
-    raw.into_iter()
-        .map(|(c, v)| (c, v / sum))
-        .filter(|&(_, v)| v != 0.0)
-        .collect()
+    out.extend(
+        raw.into_iter()
+            .map(|(c, v)| (c, v / sum))
+            .filter(|&(_, v)| v != 0.0),
+    );
 }
 
 /// A sparse, row-major matrix over user ids with non-negative finite entries.

@@ -4,23 +4,28 @@
 //!
 //! Both properties drive the engine with one op alphabet. Kinds 0–4 are
 //! events (download, vote, delete, rank, whitewash), 5 recomputes at the
-//! current time, 6 advances the clock six hours and recomputes — so
-//! retention drift, expiring saturation windows and user removal all land
-//! mid-stream. The incremental threshold is drawn from {0.0, 0.25, 1.0}, so
-//! `Full`, `FallbackFull` and `Incremental` epochs interleave.
+//! current time, 6 advances the clock six hours and recomputes, and 7
+//! expires the evaluations untouched for longer than the 12-hour
+//! evaluation interval — so retention drift, expiring saturation windows,
+//! user removal, expired records and files downloaded again after their
+//! record expired all land mid-stream. The incremental threshold is drawn
+//! from {0.0, 0.25, 1.0}, so `Full`, `FallbackFull` and `Incremental`
+//! epochs interleave.
 //!
 //! A third property holds a rebuild of every row against the reference
 //! `SparseMatrix` path in the corners where its index interns ids no entry
 //! references: `α = 0`, blacklist-only ratings, zero-size downloads,
-//! whitewashed users and `steps = 2`.
+//! whitewashed users and `steps = 2`. Its `VD` (Equation 4) is summed from
+//! the test's own list of downloads, not from the engine's download log.
 
 use mdrep_repro::core::{
-    EngineEvent, FileTrust, FileTrustOptions, Params, ReputationEngine, ReputationMatrix,
-    ShardedEngine, TrustComponents, UserTrust, VolumeTrust, Weights,
+    EngineEvent, FileTrust, FileTrustOptions, Params, ParamsBuilder, ReputationEngine,
+    ReputationMatrix, ShardedEngine, TrustComponents, UserTrust, Weights,
 };
 use mdrep_repro::matrix::{blend, CsrMatrix, PowerOptions, SparseMatrix};
 use mdrep_repro::types::{Evaluation, FileId, FileSize, SimDuration, SimTime, UserId};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 type Op = (u8, u64, u64, u64, Evaluation);
 
@@ -30,7 +35,7 @@ fn eval_strategy() -> impl Strategy<Value = Evaluation> {
 
 fn ops_strategy(max_len: usize) -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
-        (0u8..7, 0u64..8, 0u64..8, 0u64..10, eval_strategy()),
+        (0u8..8, 0u64..8, 0u64..8, 0u64..10, eval_strategy()),
         1..max_len,
     )
 }
@@ -39,8 +44,16 @@ fn threshold_strategy() -> impl Strategy<Value = f64> {
     (0usize..3).prop_map(|i| [0.0, 0.25, 1.0][i])
 }
 
+/// A builder whose records expire 12 hours after their last activity, so
+/// kind 7 drops some within the clock's reach.
+fn builder() -> ParamsBuilder {
+    let mut builder = Params::builder();
+    builder.evaluation_interval(SimDuration::from_hours(12));
+    builder
+}
+
 fn params(threshold: f64) -> Params {
-    Params::builder()
+    builder()
         .incremental_threshold(threshold)
         .build()
         .expect("valid")
@@ -50,6 +63,7 @@ fn params(threshold: f64) -> Params {
 enum Step {
     Event(EngineEvent),
     Recompute,
+    Expire,
     Skip,
 }
 
@@ -83,6 +97,7 @@ fn step(op: Op, now: &mut SimTime) -> Step {
             *now += SimDuration::from_hours(6);
             return Step::Recompute;
         }
+        7 => return Step::Expire,
         _ => return Step::Skip,
     })
 }
@@ -139,6 +154,9 @@ proptest! {
             match step(op, &mut now) {
                 Step::Event(event) => event.apply_to(&mut engine),
                 Step::Recompute => engine.recompute(now),
+                Step::Expire => {
+                    engine.expire(now);
+                }
                 Step::Skip => {}
             }
         }
@@ -155,7 +173,9 @@ proptest! {
 proptest! {
     /// Shard-count equivalence: the published matrices are bit-identical to
     /// the unsharded engine for every tested shard count, and every epoch
-    /// runs in the same mode.
+    /// runs in the same mode. The sharded engine applies its queued events
+    /// at the next epoch and expires on the engine as it stands, so the
+    /// unsharded reference holds its events until each recompute too.
     #[test]
     fn any_shard_count_matches_unsharded(
         ops in ops_strategy(60),
@@ -164,14 +184,18 @@ proptest! {
         for shards in [1usize, 2, 4, 7] {
             let mut reference = ReputationEngine::new(params(threshold));
             let sharded = ShardedEngine::new(params(threshold), shards);
+            let mut queued: Vec<EngineEvent> = Vec::new();
             let mut now = SimTime::ZERO;
             for &op in &ops {
                 match step(op, &mut now) {
                     Step::Event(event) => {
-                        event.apply_to(&mut reference);
+                        queued.push(event);
                         sharded.ingest(event);
                     }
                     Step::Recompute => {
+                        for event in queued.drain(..) {
+                            event.apply_to(&mut reference);
+                        }
                         reference.recompute(now);
                         sharded.recompute_epoch(now);
                         prop_assert_eq!(
@@ -180,8 +204,14 @@ proptest! {
                             "recompute mode diverged at shard count {}", shards
                         );
                     }
+                    Step::Expire => {
+                        prop_assert_eq!(sharded.expire(now), reference.expire(now));
+                    }
                     Step::Skip => {}
                 }
+            }
+            for event in queued.drain(..) {
+                event.apply_to(&mut reference);
             }
             reference.recompute(now);
             sharded.recompute_epoch(now);
@@ -229,7 +259,7 @@ const CORNERS: [Corner; 5] = [
 ];
 
 fn corner_params(corner: Corner) -> Params {
-    let mut builder = Params::builder();
+    let mut builder = builder();
     builder.incremental_threshold(0.0);
     match corner {
         Corner::AlphaZero => {
@@ -271,11 +301,16 @@ fn corner_event(corner: Corner, event: EngineEvent) -> EngineEvent {
     }
 }
 
+/// One download as the reference keeps it: downloader, uploader, file,
+/// size.
+type Download = (UserId, UserId, FileId, FileSize);
+
 /// The reference path: Equations 3–8 on `SparseMatrix`, from the engine's
-/// evaluations and a second copy of the download log and the ratings.
+/// evaluations, the downloads in the order they happened, and a second
+/// copy of the ratings.
 fn reference_path(
     engine: &ReputationEngine,
-    volume: &VolumeTrust,
+    downloads: &[Download],
     ratings: &UserTrust,
     now: SimTime,
 ) -> [SparseMatrix; 5] {
@@ -283,10 +318,20 @@ fn reference_path(
     let evals = engine.evaluations();
     let ft = FileTrust::compute_with(evals, now, params, FileTrustOptions::default());
     let fm = ft.raw().thaw().normalized_rows();
+    // Equation 4: `VD_ij` adds `E_ik·S_k` over every download `i` made
+    // from `j`, in the order they happened, for each file `k` that `i`
+    // still holds a record of — a download made before the record expired
+    // counts again once the file is downloaded anew.
+    let mut volumes: BTreeMap<(UserId, UserId), f64> = BTreeMap::new();
+    for &(d, up, file, size) in downloads {
+        let volume = volumes.entry((d, up)).or_insert(0.0);
+        if let Some(e) = evals.evaluation(d, file, now, params) {
+            *volume += e.value() * size.as_mib_f64();
+        }
+    }
     let mut vd = SparseMatrix::new();
-    for d in volume.rows() {
-        let row = volume.vd_row(d, evals, now, params).into_iter().collect();
-        vd.set_row(d, row).expect("volumes are finite");
+    for ((d, up), volume) in volumes {
+        vd.set(d, up, volume).expect("volumes are finite");
     }
     let mut ut = SparseMatrix::new();
     for r in ratings.rows() {
@@ -330,13 +375,16 @@ proptest! {
     fn full_rebuild_matches_the_reference_path(ops in ops_strategy(60)) {
         for corner in CORNERS {
             let mut engine = ReputationEngine::new(corner_params(corner));
-            let (mut volume, mut ratings) = (VolumeTrust::new(), UserTrust::new());
+            let (mut downloads, mut ratings) = (Vec::<Download>::new(), UserTrust::new());
             let mut now = SimTime::ZERO;
             let mut events = Vec::new();
             for (i, &op) in ops.iter().enumerate() {
                 match step(op, &mut now) {
                     Step::Event(event) => events.push(corner_event(corner, event)),
                     Step::Recompute => engine.recompute(now),
+                    Step::Expire => {
+                        engine.expire(now);
+                    }
                     Step::Skip => {}
                 }
                 if matches!(corner, Corner::Whitewash) && i % 5 == 4 {
@@ -345,13 +393,13 @@ proptest! {
                 for event in events.drain(..) {
                     match event {
                         EngineEvent::Download { downloader, uploader, file, size, .. } => {
-                            volume.record_download(downloader, uploader, file, size);
+                            downloads.push((downloader, uploader, file, size));
                         }
                         EngineEvent::Rank { rater, target, value } => {
                             ratings.rate(rater, target, value);
                         }
                         EngineEvent::Whitewash { user } => {
-                            volume.remove_user(user);
+                            downloads.retain(|&(d, up, ..)| d != user && up != user);
                             ratings.remove_user(user);
                         }
                         _ => {}
@@ -361,7 +409,7 @@ proptest! {
             }
             engine.full_rebuild(now);
 
-            let want = reference_path(&engine, &volume, &ratings, now);
+            let want = reference_path(&engine, &downloads, &ratings, now);
             let (comps, rm) = matrices(&engine);
             let got = [&comps.fm, &comps.dm, &comps.um, &comps.tm, rm.matrix()];
             for (name, g, w) in ["FM", "DM", "UM", "TM", "RM"].into_iter().zip(got).zip(&want)
