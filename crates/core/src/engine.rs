@@ -558,11 +558,12 @@ impl ReputationEngine {
     ///    `TM` row — by id for dirty rows ([`RowSources::build_row`]); for
     ///    every row, in positions of one index interned from the stores
     ///    before the workers start ([`RowSources::position_rows_into`]),
-    ///    each worker reusing one [`Scratch`] for all of its rows. Rows
-    ///    are pure functions of the stores, which stay immutable during
-    ///    the pass, and the partition depends only on the row set and
-    ///    [`Params::threads`](crate::Params::threads) — so the result is
-    ///    bit-identical at any shard/thread count.
+    ///    in ranges of near-equal cost by each row's FT, uploader and
+    ///    rating counts, each worker reusing one [`Scratch`] for all of its
+    ///    rows. Rows are pure functions of the stores, which stay immutable
+    ///    during the pass, and the partition depends only on the stores
+    ///    and [`Params::threads`](crate::Params::threads) — so the result
+    ///    is bit-identical at any shard/thread count.
     /// 3. **Sink** (`merge`) — dirty rows are patched into the previous
     ///    matrices' copy-on-write overlays; a rebuild of every row
     ///    concatenates the workers' runs into fresh contiguous CSR arrays.
@@ -626,17 +627,22 @@ impl ReputationEngine {
             Some((sets, mut comps, mut rm)) => {
                 let patches: Vec<RowPatch> = {
                     let _phase = mdrep_obs::phase("engine.recompute.integrate");
-                    map_chunks(&rows, threads, |shard| {
-                        let mut scratch = Scratch::default();
-                        shard
-                            .iter()
-                            .map(|&u| {
-                                sources
-                                    .build_row(u, &sets, &comps, &mut scratch)
-                                    .into_patch(u)
-                            })
-                            .collect::<Vec<_>>()
-                    })
+                    map_chunks(
+                        &rows,
+                        threads,
+                        |_| 1,
+                        |shard| {
+                            let mut scratch = Scratch::default();
+                            shard
+                                .iter()
+                                .map(|&u| {
+                                    sources
+                                        .build_row(u, &sets, &comps, &mut scratch)
+                                        .into_patch(u)
+                                })
+                                .collect::<Vec<_>>()
+                        },
+                    )
                     .into_iter()
                     .flatten()
                     .collect()
@@ -707,24 +713,42 @@ impl ReputationEngine {
                         index,
                         ft: ft_columns,
                     };
-                    let shards: Vec<[PositionRun; 4]> = map_chunks(&rows, threads, |shard| {
+                    // Each row with its FT, uploader and rating counts,
+                    // read in one merge over the ascending stores: upper
+                    // bounds on its FM, DM and UM rows, and with one for
+                    // the row itself, its cost in the split.
+                    let mut uploads = sources.volume.uploader_counts().peekable();
+                    let mut ratings = sources.user_trust.rating_counts().peekable();
+                    let sized: Vec<(UserId, [usize; 3])> = rows
+                        .iter()
+                        .map(|&u| {
+                            let fm = ft
+                                .index()
+                                .position(u)
+                                .map_or(0, |at| ft.position_row(at).0.len());
+                            let dm = uploads.next_if(|&(d, _)| d == u).map_or(0, |(_, n)| n);
+                            let um = ratings.next_if(|&(r, _)| r == u).map_or(0, |(_, n)| n);
+                            (u, [fm, dm, um])
+                        })
+                        .collect();
+                    let cost = |(_, counts): &(UserId, [usize; 3])| {
+                        1 + counts.iter().sum::<usize>() as u64
+                    };
+                    let worker = |shard: &[(UserId, [usize; 3])]| {
                         // Sized up front to the stores' row lengths, an
                         // upper bound on every run: runs grown by doubling
                         // on the workers fragment their allocator arenas and
                         // hold the process's peak RSS well above the data.
                         let mut bounds = [0usize; 3];
-                        for &u in shard {
-                            bounds[0] += ft
-                                .index()
-                                .position(u)
-                                .map_or(0, |at| ft.position_row(at).0.len());
-                            bounds[1] += sources.volume.uploader_count(u);
-                            bounds[2] += sources.user_trust.rating_count(u);
+                        for (_, counts) in shard {
+                            for (bound, count) in bounds.iter_mut().zip(counts) {
+                                *bound += count;
+                            }
                         }
                         let [fm, dm, um] = bounds;
                         let mut runs = [fm, dm, um, fm + dm + um].map(PositionRun::with_capacity);
                         let mut scratch = Scratch::default();
-                        for &u in shard {
+                        for &(u, _) in shard {
                             sources.position_rows_into(u, &columns, &mut scratch);
                             let at = columns.position(u);
                             for (run, row) in runs.iter_mut().zip(&scratch.rows) {
@@ -732,7 +756,8 @@ impl ReputationEngine {
                             }
                         }
                         runs
-                    });
+                    };
+                    let shards: Vec<[PositionRun; 4]> = map_chunks(&sized, threads, cost, worker);
                     (columns, shards)
                 };
                 let _phase = mdrep_obs::phase("engine.recompute.merge");

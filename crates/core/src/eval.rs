@@ -271,6 +271,12 @@ impl EvaluationStore {
             .unwrap_or_default()
     }
 
+    /// The inverted file index: every file with at least one evaluator,
+    /// ascending, with its evaluators in ascending (store) order.
+    pub(crate) fn evaluator_index(&self) -> &BTreeMap<FileId, BTreeSet<UserId>> {
+        &self.evaluators
+    }
+
     /// Users who have evaluated `file` (the inverted index driving
     /// file-based trust).
     pub fn evaluators_of(&self, file: FileId) -> impl Iterator<Item = UserId> + '_ {

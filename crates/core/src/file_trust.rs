@@ -245,6 +245,51 @@ struct Eq2Work {
     pair_updates: u64,
 }
 
+/// How spread the walked files' ids may be for [`FilePositions`] to keep
+/// a flat table: the id span at most this many times the file count.
+const DENSE_FILE_SPREAD: u64 = 4;
+
+/// The position of each walked file (ids ascending) by id: a flat table
+/// over the id span when the ids are dense, else a binary search.
+struct FilePositions<'a> {
+    files: &'a [FileId],
+    /// `table[id − lo]` is the position of file `id`; empty when sparse.
+    table: Vec<u32>,
+    lo: u64,
+}
+
+impl<'a> FilePositions<'a> {
+    fn new(files: &'a [FileId]) -> Self {
+        let (Some(first), Some(last)) = (files.first(), files.last()) else {
+            return Self {
+                files,
+                table: Vec::new(),
+                lo: 0,
+            };
+        };
+        let (lo, span) = (first.as_u64(), last.as_u64() - first.as_u64());
+        let mut table = Vec::new();
+        if span / DENSE_FILE_SPREAD < files.len() as u64 {
+            table = vec![u32::MAX; span as usize + 1];
+            for (at, file) in files.iter().enumerate() {
+                table[(file.as_u64() - lo) as usize] = at as u32;
+            }
+        }
+        Self { files, table, lo }
+    }
+
+    /// The position of `file`, which must be walked.
+    fn of(&self, file: FileId) -> usize {
+        if self.table.is_empty() {
+            self.files.binary_search(&file).expect("a walked file")
+        } else {
+            let at = self.table[(file.as_u64() - self.lo) as usize];
+            debug_assert_ne!(at, u32::MAX, "a walked file");
+            at as usize
+        }
+    }
+}
+
 /// The Equation 2 member table: each walked file's capped, eligible
 /// evaluators with their Equation 1 values, recorded once and indexed both
 /// by file and by user.
@@ -264,10 +309,14 @@ struct MemberTable {
 }
 
 impl MemberTable {
-    /// Walks the files once, in ascending order — every file, or the files
-    /// of the `eligible` users — and keeps each file's first `cap`
-    /// evaluators in store order that are eligible. Files left with fewer
-    /// than two members pair nobody and get no slot.
+    /// Walks the eligible users' own records — every user's, or the
+    /// `eligible` users' — in ascending user order, each user's in
+    /// ascending file order. The walked files are the files those records
+    /// name, and each keeps its first `cap` evaluators in store order that
+    /// are eligible: an eligible evaluator is a member exactly when its id
+    /// lies below the file's first evaluator past the cap, read once per
+    /// walked file from the evaluator index. Files left with fewer than two
+    /// members pair nobody and get no slot.
     fn build(
         store: &EvaluationStore,
         now: SimTime,
@@ -275,68 +324,97 @@ impl MemberTable {
         options: FileTrustOptions,
         eligible: Option<&BTreeSet<UserId>>,
     ) -> Self {
-        let files: Vec<FileId> = match eligible {
-            None => store.files().collect(),
-            Some(users) => users
-                .iter()
-                .flat_map(|&u| store.files_of(u))
-                .collect::<BTreeSet<FileId>>()
-                .into_iter()
-                .collect(),
+        let index = store.evaluator_index();
+        let (candidates, walked): (Vec<UserId>, Vec<(FileId, &BTreeSet<UserId>)>) = match eligible {
+            None => {
+                let mut users: Vec<UserId> = store.users().collect();
+                users.sort_unstable();
+                (users, index.iter().map(|(&f, e)| (f, e)).collect())
+            }
+            Some(users) => {
+                let mut files: Vec<FileId> =
+                    users.iter().flat_map(|&u| store.files_of(u)).collect();
+                files.sort_unstable();
+                files.dedup();
+                let walked = files.into_iter().map(|f| (f, &index[&f])).collect();
+                (users.iter().copied().collect(), walked)
+            }
         };
         let cap = options.max_evaluators_per_file.unwrap_or(usize::MAX);
         let mut work = Eq2Work {
             capped_files: 0,
             pair_updates: 0,
         };
-        let mut file_start = vec![0];
-        let mut named: Vec<(UserId, Evaluation)> = Vec::new();
-        for file in files {
-            let start = named.len();
-            let mut evaluators = store.evaluators_of(file);
-            for user in evaluators.by_ref().take(cap) {
-                if eligible.is_none_or(|users| users.contains(&user)) {
-                    let value = store
-                        .evaluation(user, file, now, params)
-                        .expect("an indexed evaluator holds a record");
-                    named.push((user, value));
+        // Each walked file with its first evaluator past the cap; `None`
+        // when the cap keeps them all.
+        let (files, bounds): (Vec<FileId>, Vec<Option<UserId>>) = walked
+            .into_iter()
+            .map(|(file, evaluators)| {
+                let capped = evaluators.len() > cap;
+                work.capped_files += usize::from(capped);
+                let bound = capped.then(|| *evaluators.iter().nth(cap).expect("more than cap"));
+                (file, bound)
+            })
+            .unzip();
+
+        // Every eligible record inside its file's cap, as (walked file,
+        // value), grouped by user; `ends` closes each user's group.
+        let positions = FilePositions::new(&files);
+        let mut counts = vec![0usize; files.len()];
+        let mut entries: Vec<(usize, Evaluation)> = Vec::new();
+        let mut ends: Vec<(UserId, usize)> = Vec::with_capacity(candidates.len());
+        for user in candidates {
+            let Some(records) = store.records_of(user) else {
+                continue;
+            };
+            for (file, record) in records {
+                let at = positions.of(*file);
+                if bounds[at].is_none_or(|bound| user < bound) {
+                    counts[at] += 1;
+                    entries.push((at, record.evaluation(now, params)));
                 }
             }
-            if evaluators.next().is_some() {
-                work.capped_files += 1;
-            }
-            let k = (named.len() - start) as u64;
-            if k < 2 {
-                named.truncate(start);
-            } else {
-                work.pair_updates += k * (k - 1) / 2;
-                file_start.push(named.len());
-            }
+            ends.push((user, entries.len()));
         }
 
-        let mut users: Vec<UserId> = named.iter().map(|&(u, _)| u).collect();
-        users.sort_unstable();
-        users.dedup();
-        let members: Vec<(usize, Evaluation)> = named
+        // Slots follow ascending file order, so each user's slots ascend.
+        const NO_SLOT: usize = usize::MAX;
+        let mut file_start = vec![0];
+        let slots: Vec<usize> = counts
             .into_iter()
-            .map(|(u, value)| (users.binary_search(&u).expect("collected above"), value))
+            .map(|k| {
+                if k < 2 {
+                    return NO_SLOT;
+                }
+                work.pair_updates += (k * (k - 1) / 2) as u64;
+                file_start.push(file_start[file_start.len() - 1] + k);
+                file_start.len() - 2
+            })
             .collect();
+        let mut users = Vec::new();
+        let mut user_start = vec![0];
+        let mut user_files: Vec<(usize, Evaluation)> = Vec::with_capacity(entries.len());
+        let mut from = 0;
+        for (user, end) in ends {
+            user_files.extend(entries[from..end].iter().filter_map(|&(at, value)| {
+                let slot = slots[at];
+                (slot != NO_SLOT).then_some((slot, value))
+            }));
+            from = end;
+            if user_files.len() > user_start[user_start.len() - 1] {
+                users.push(user);
+                user_start.push(user_files.len());
+            }
+        }
 
-        // Counting sort by user; walking the slots in order keeps every
-        // user's list in ascending file order.
-        let mut user_start = vec![0; users.len() + 1];
-        for &(u, _) in &members {
-            user_start[u + 1] += 1;
-        }
+        // Counting sort by slot; walking the users in order keeps every
+        // slot's members in store order.
+        let mut cursor = file_start[..file_start.len() - 1].to_vec();
+        let mut members = vec![(0, Evaluation::WORST); user_files.len()];
         for u in 0..users.len() {
-            user_start[u + 1] += user_start[u];
-        }
-        let mut cursor = user_start[..users.len()].to_vec();
-        let mut user_files = vec![(0, Evaluation::WORST); members.len()];
-        for slot in 0..file_start.len() - 1 {
-            for &(u, value) in &members[file_start[slot]..file_start[slot + 1]] {
-                user_files[cursor[u]] = (slot, value);
-                cursor[u] += 1;
+            for &(slot, value) in &user_files[user_start[u]..user_start[u + 1]] {
+                members[cursor[slot]] = (u, value);
+                cursor[slot] += 1;
             }
         }
         Self {
@@ -347,6 +425,22 @@ impl MemberTable {
             user_files,
             work,
         }
+    }
+
+    /// Each member's co-member count `Σ_f (k_f − 1)` over its files `f` of
+    /// `k_f` members: the (pair, file) terms its `FT` row adds up, and an
+    /// upper bound on that row's entries.
+    fn row_costs(&self) -> Vec<u64> {
+        (0..self.users.len())
+            .map(|u| {
+                self.user_files[self.user_start[u]..self.user_start[u + 1]]
+                    .iter()
+                    .map(|&(slot, _)| {
+                        (self.file_start[slot + 1] - self.file_start[slot] - 1) as u64
+                    })
+                    .sum()
+            })
+            .collect()
     }
 
     /// Hands `sink` the `FT` row of each user at `rows` (indices into
@@ -412,9 +506,11 @@ fn workers(threads: usize, pair_updates: u64) -> usize {
 /// eligible — every evaluator when `eligible` is `None`, else the listed
 /// users — over their common files, and writes the pairs into `ft`.
 ///
-/// The rows are split into contiguous ranges ([`map_chunks`]) over
+/// The rows are split into contiguous ranges of near-equal cost
+/// ([`map_chunks`], each row weighed by its co-member count) over
 /// [`Params::effective_threads`] — fewer when the pass is small
-/// ([`workers`]) — one worker and one accumulator per range. Every pair
+/// ([`workers`]) — one worker and one accumulator per range, each sizing
+/// its run to its rows' cost up front. Every pair
 /// sums its common files in ascending file order, and
 /// [`DistanceMetric::per_file`] is exactly symmetric, so `FT_ab` and
 /// `FT_ba` are the same bits, whichever rows (a full or a dirty-row
@@ -441,10 +537,13 @@ fn accumulate_pairs(
     obs.counter_add("engine.eq2.pair_updates", table.work.pair_updates);
 
     let rows: Vec<usize> = (0..table.users.len()).collect();
+    let costs = table.row_costs();
+    let cost = |&a: &usize| costs[a];
     let threads = workers(params.effective_threads(), table.work.pair_updates);
     let Some(dirty) = eligible else {
-        let runs = map_chunks(&rows, threads, |chunk| {
-            let mut run = PositionRun::default();
+        let runs = map_chunks(&rows, threads, cost, |chunk| {
+            let mut run =
+                PositionRun::with_capacity(chunk.iter().map(|&a| costs[a] as usize).sum());
             table.trust_rows(chunk, options.metric, |a, row| {
                 run.push_row(a as u32, row);
             });
@@ -454,7 +553,7 @@ fn accumulate_pairs(
         *ft = CsrMatrix::from_position_runs(&index, runs);
         return table.work;
     };
-    let mut fresh = map_chunks(&rows, threads, |chunk| {
+    let mut fresh = map_chunks(&rows, threads, cost, |chunk| {
         let mut out = Vec::new();
         table.trust_rows(chunk, options.metric, |a, row| {
             let row: Vec<(UserId, f64)> = row

@@ -508,13 +508,19 @@ impl ShardedEngine {
         epoch
     }
 
-    /// Expires old evaluations on the master engine (takes effect in the
-    /// next published epoch). Returns how many records were dropped.
+    /// Applies the queued events to the master engine, in ingestion order
+    /// and under the same locks as an epoch, then expires old evaluations
+    /// on it (takes effect in the next published epoch), so an `expire`
+    /// follows every event ingested before it, as on a
+    /// [`ReputationEngine`]. Returns how many records were dropped.
     pub fn expire(&self, now: SimTime) -> usize {
-        self.master
-            .lock()
-            .expect("master lock poisoned")
-            .expire(now)
+        let events = self.drain();
+        let mut engine = self.master.lock().expect("master lock poisoned");
+        for (_, event) in &events {
+            event.apply_to(&mut engine);
+        }
+        mdrep_obs::global().counter_add("engine.sharded.events_applied", events.len() as u64);
+        engine.expire(now)
     }
 
     /// Punishes `user` and republishes the current matrices under a new
@@ -611,6 +617,29 @@ mod tests {
         assert_eq!(sharded.pending_events(), 3);
         assert_eq!(sharded.shard_depths(), vec![1, 1, 1], "actor % 3 routing");
         sharded.recompute_epoch(SimTime::ZERO);
+        assert_eq!(sharded.pending_events(), 0);
+    }
+
+    #[test]
+    fn expire_applies_queued_events_first() {
+        // A queued vote refreshes the record an expiry at `now` would drop
+        // on its own: applied first, it keeps the record, as the same call
+        // sequence does on a `ReputationEngine`.
+        let params = Params::builder()
+            .evaluation_interval(mdrep_types::SimDuration::from_days(1))
+            .build()
+            .unwrap();
+        let later = SimTime::ZERO + mdrep_types::SimDuration::from_days(2);
+        let mut reference = ReputationEngine::new(params.clone());
+        let sharded = ShardedEngine::new(params, 2);
+        let size = FileSize::from_mib(10);
+        reference.observe_download(SimTime::ZERO, u(0), u(1), f(0), size);
+        sharded.observe_download(SimTime::ZERO, u(0), u(1), f(0), size);
+        sharded.recompute_epoch(SimTime::ZERO);
+        reference.observe_vote(later, u(0), f(0), Evaluation::BEST);
+        sharded.observe_vote(later, u(0), f(0), Evaluation::BEST);
+        assert_eq!(reference.expire(later), 0);
+        assert_eq!(sharded.expire(later), 0, "the vote is applied first");
         assert_eq!(sharded.pending_events(), 0);
     }
 

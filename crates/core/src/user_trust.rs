@@ -125,6 +125,12 @@ impl UserTrust {
         self.ratings.get(&rater).map_or(0, BTreeMap::len)
     }
 
+    /// Each rater's [`rating_count`](Self::rating_count), in ascending
+    /// rater order.
+    pub(crate) fn rating_counts(&self) -> impl Iterator<Item = (UserId, usize)> + '_ {
+        self.ratings.iter().map(|(&r, row)| (r, row.len()))
+    }
+
     /// Whether no ratings are stored.
     #[must_use]
     pub fn is_empty(&self) -> bool {

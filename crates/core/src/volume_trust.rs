@@ -188,6 +188,14 @@ impl VolumeTrust {
             .map_or(0, |log| log.uploads.len())
     }
 
+    /// Each downloader's [`uploader_count`](Self::uploader_count), in
+    /// ascending downloader order.
+    pub(crate) fn uploader_counts(&self) -> impl Iterator<Item = (UserId, usize)> + '_ {
+        self.downloads
+            .iter()
+            .map(|(&d, log)| (d, log.uploads.len()))
+    }
+
     /// One row of Equation 4: `downloader`'s valid download volume per
     /// uploader at `now`, in ascending uploader order — the row every `DM`
     /// rebuild normalizes. Only files the downloader still holds a record

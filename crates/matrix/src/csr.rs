@@ -1005,7 +1005,7 @@ impl CsrMatrix {
             }
             out
         };
-        let rows: Vec<CsrRow> = map_chunks(&occupied, threads, worker)
+        let rows: Vec<CsrRow> = map_chunks(&occupied, threads, |_| 1, worker)
             .into_iter()
             .flatten()
             .collect();
@@ -1229,30 +1229,48 @@ pub fn blend_frozen(parts: &[(f64, &CsrMatrix)], threads: usize) -> Result<CsrMa
         }
         out
     };
-    let rows: Vec<CsrRow> = map_chunks(&occupied, threads, worker)
+    let rows: Vec<CsrRow> = map_chunks(&occupied, threads, |_| 1, worker)
         .into_iter()
         .flatten()
         .collect();
     Ok(CsrMatrix::assemble(Arc::clone(&first.index), n, rows))
 }
 
-/// Partitions `0..n` into at most `shards` contiguous, near-equal ranges
-/// (empty ranges are dropped). The partition depends only on `n` and
-/// `shards`, never on runtime thread availability, so shard-parallel
-/// kernels stay deterministic.
+/// Partitions `0..costs.len()` into at most `shards` contiguous,
+/// non-empty ranges of near-equal total cost: each range but the last
+/// closes at the first item that brings its cost to the quota
+/// `⌈Σ costs / shards⌉`, and the last takes what remains. No range then
+/// costs more than `Σ costs / shards` plus the largest single cost, and
+/// constant costs give equal counts of `⌈n / shards⌉` items. The partition
+/// depends only on the costs and `shards`, never on runtime thread
+/// availability, so kernels that split by it stay deterministic.
+///
+/// # Panics
+///
+/// Panics if `shards == 0`.
 #[must_use]
-pub fn shard_ranges(n: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
+pub fn weighted_ranges(costs: &[u64], shards: usize) -> Vec<std::ops::Range<usize>> {
     assert!(shards >= 1, "at least one shard is required");
-    let chunk = n.div_ceil(shards).max(1);
-    (0..shards)
-        .map(|s| (s * chunk).min(n)..((s + 1) * chunk).min(n))
-        .filter(|r| !r.is_empty())
-        .collect()
+    let quota = costs.iter().sum::<u64>().div_ceil(shards as u64).max(1);
+    let mut ranges = Vec::with_capacity(shards);
+    let (mut start, mut load) = (0, 0);
+    for (i, &cost) in costs.iter().enumerate() {
+        load += cost;
+        if load >= quota && ranges.len() + 1 < shards {
+            ranges.push(start..i + 1);
+            (start, load) = (i + 1, 0);
+        }
+    }
+    if start < costs.len() {
+        ranges.push(start..costs.len());
+    }
+    ranges
 }
 
-/// Applies `worker` to the contiguous [`shard_ranges`] of `items`, one
-/// scoped thread per range, and returns the outputs in range order. Fewer
-/// than two items per thread run as one range on the caller's thread.
+/// Applies `worker` to the contiguous [`weighted_ranges`] of `items`
+/// under `cost` (a constant for items of equal cost), one scoped thread
+/// per range, and returns the outputs in range order. Fewer than two items
+/// per thread run as one range on the caller's thread.
 ///
 /// # Panics
 ///
@@ -1260,15 +1278,17 @@ pub fn shard_ranges(n: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
 pub fn map_chunks<I: Sync, T: Send>(
     items: &[I],
     threads: usize,
+    cost: impl Fn(&I) -> u64,
     worker: impl Fn(&[I]) -> T + Sync,
 ) -> Vec<T> {
     assert!(threads >= 1, "at least one thread is required");
     if threads == 1 || items.len() < 2 * threads {
         return vec![worker(items)];
     }
+    let costs: Vec<u64> = items.iter().map(cost).collect();
     let worker = &worker;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = shard_ranges(items.len(), threads)
+        let handles: Vec<_> = weighted_ranges(&costs, threads)
             .into_iter()
             .map(|range| scope.spawn(move || worker(&items[range])))
             .collect();
@@ -1411,7 +1431,7 @@ mod tests {
         let position = |id| index.position(id).expect("interned");
         let rows: Vec<UserId> = m.row_ids().collect();
         for runs in [1, 2, 3, 7, 200] {
-            let runs: Vec<PositionRun> = shard_ranges(rows.len(), runs)
+            let runs: Vec<PositionRun> = weighted_ranges(&vec![1; rows.len()], runs)
                 .into_iter()
                 .map(|range| {
                     let mut run = PositionRun::default();
@@ -1492,7 +1512,7 @@ mod tests {
             whole.nnz() >= MIN_PARALLEL_COPY_ENTRIES,
             "takes the parallel copy"
         );
-        let runs: Vec<PositionRun> = shard_ranges(rows.len(), 3)
+        let runs: Vec<PositionRun> = weighted_ranges(&vec![1; rows.len()], 3)
             .into_iter()
             .map(|range| {
                 let mut run = PositionRun::default();
@@ -1529,20 +1549,60 @@ mod tests {
     }
 
     #[test]
-    fn shard_ranges_cover_and_never_overlap() {
+    fn weighted_ranges_cover_balance_and_reduce_to_equal_counts() {
+        // Skewed costs from a fixed generator: zeros, ones and rare heavy
+        // items, with the heavy ones crowded at the low indices the way
+        // activity-ordered user ids crowd them.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut skewed = |n: usize| -> Vec<u64> {
+            (0..n)
+                .map(|i| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    match state % 8 {
+                        0 => 0,
+                        1 if i < n / 4 => 1_000 + state % 5_000,
+                        _ => 1 + state % 20,
+                    }
+                })
+                .collect()
+        };
         for n in [0usize, 1, 5, 97, 1000] {
             for shards in [1usize, 2, 3, 7, 64] {
-                let ranges = shard_ranges(n, shards);
-                let mut covered = 0usize;
-                for (i, r) in ranges.iter().enumerate() {
-                    assert_eq!(r.start, covered, "contiguous at n={n} s={shards}");
-                    assert!(r.end > r.start, "non-empty range {i}");
-                    covered = r.end;
+                for (label, costs) in [("constant", vec![7; n]), ("skewed", skewed(n))] {
+                    let ranges = weighted_ranges(&costs, shards);
+                    let mut covered = 0usize;
+                    for r in &ranges {
+                        assert_eq!(r.start, covered, "{label}: contiguous at n={n} s={shards}");
+                        assert!(r.end > r.start, "{label}: empty range at n={n} s={shards}");
+                        covered = r.end;
+                    }
+                    assert_eq!(covered, n, "{label}: full cover at n={n} s={shards}");
+                    assert!(ranges.len() <= shards);
+                    let total: u64 = costs.iter().sum();
+                    let largest = costs.iter().copied().max().unwrap_or(0);
+                    for r in &ranges {
+                        let cost: u64 = costs[r.clone()].iter().sum();
+                        assert!(
+                            cost as f64 <= total as f64 / shards as f64 + largest as f64,
+                            "{label}: range {r:?} costs {cost} of {total} at s={shards}"
+                        );
+                    }
                 }
-                assert_eq!(covered, n, "full cover at n={n} s={shards}");
-                assert!(ranges.len() <= shards);
+                // Constant costs split by count, as the equal-count split
+                // `⌈n / shards⌉` items at a time did.
+                let chunk = n.div_ceil(shards).max(1);
+                let by_count: Vec<_> = (0..shards)
+                    .map(|s| (s * chunk).min(n)..((s + 1) * chunk).min(n))
+                    .filter(|r| !r.is_empty())
+                    .collect();
+                assert_eq!(weighted_ranges(&vec![7; n], shards), by_count);
+                assert_eq!(weighted_ranges(&vec![1; n], shards), by_count);
             }
         }
+        // No cost anywhere: one range, on one worker.
+        assert_eq!(weighted_ranges(&[0; 9], 4), vec![0..9]);
     }
 
     #[test]

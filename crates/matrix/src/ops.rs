@@ -188,9 +188,12 @@ pub fn build_rows_parallel<F>(rows: &[UserId], threads: usize, f: F) -> Vec<(Use
 where
     F: Fn(UserId) -> SparseVector + Sync,
 {
-    map_chunks(rows, threads, |chunk| {
-        chunk.iter().map(|&r| (r, f(r))).collect::<Vec<_>>()
-    })
+    map_chunks(
+        rows,
+        threads,
+        |_| 1,
+        |chunk| chunk.iter().map(|&r| (r, f(r))).collect::<Vec<_>>(),
+    )
     .into_iter()
     .flatten()
     .collect()

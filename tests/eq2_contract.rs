@@ -8,11 +8,16 @@
 //! public `EvaluationStore` API: for each file in ascending order, its first
 //! `cap` evaluators in store order (the cap's prefix semantics), and for
 //! each pair of them one more term of their distance sum.
+//!
+//! Two fixed stores pin corners the generated ones seldom reach: a dirty
+//! pass whose eligible users leave a capped file with one member, and rows
+//! of skewed cost whose weighted split points fall inside runs of heavy
+//! rows.
 
 use mdrep_repro::core::{
     DistanceMetric, EvaluationStore, FileTrust, FileTrustOptions, FileTrustState, Params,
 };
-use mdrep_repro::matrix::CsrMatrix;
+use mdrep_repro::matrix::{weighted_ranges, CsrMatrix};
 use mdrep_repro::types::{Evaluation, FileId, SimDuration, SimTime, UserId};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -266,6 +271,117 @@ proptest! {
                     prop_assert!(
                         bits(state.raw()) == bits(full.raw()),
                         "{:?}, cap {:?}, threads {}", options.metric, cap, params.threads()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A dirty pass whose eligible users leave a capped file's prefix with a
+/// single member: that file pairs nobody in the pass, and an eligible
+/// evaluator past the cap stays out of it, so `FT` still equals the oracle.
+#[test]
+fn dirty_pass_leaves_a_capped_prefix_with_one_member() {
+    let (u, f) = (UserId::new, FileId::new);
+    let vote = |store: &mut EvaluationStore, user, file, value| {
+        let value = Evaluation::new(value).expect("in range");
+        store.record_vote(SimTime::ZERO, u(user), f(file), value);
+    };
+    for metric in METRICS {
+        for threads in THREADS {
+            let options = FileTrustOptions {
+                metric,
+                max_evaluators_per_file: Some(2),
+            };
+            let params = params(threads);
+            let mut store = EvaluationStore::new();
+            // File 0's prefix is users 0 and 1; users 2 and 3 lie past it.
+            for (user, value) in [(0, 0.9), (1, 0.7), (2, 0.1), (3, 0.4)] {
+                vote(&mut store, user, 0, value);
+            }
+            // File 1's prefix is users 0 and 2; user 5 lies past it.
+            for user in [0, 2, 5] {
+                vote(&mut store, user, 1, 0.5);
+            }
+            let mut state = FileTrustState::new();
+            state.full_rebuild(&store, SimTime::ZERO, &params, options);
+            // A re-vote on file 1 dirties its evaluators 0, 2 and 5; of
+            // file 0's prefix only user 0 is among them, and user 2 holds a
+            // record for file 0 past its cap.
+            vote(&mut store, 2, 1, 0.5);
+            state.mark_dirty_many(store.evaluators_of(f(1)));
+            state.apply_dirty(&store, SimTime::ZERO, &params, options);
+            assert!(
+                bits(state.raw()) == oracle(&store, SimTime::ZERO, &params, options),
+                "{metric:?}, {threads} threads"
+            );
+        }
+    }
+}
+
+/// Users `0..32` and `480..512` of [`SKEWED_USERS`] evaluate every one of
+/// [`SKEWED_FILES`] files, the rest one file each.
+const SKEWED_USERS: u64 = 1000;
+const SKEWED_FILES: u64 = 40;
+
+fn heavy(user: u64) -> bool {
+    user < 32 || (480..512).contains(&user)
+}
+
+proptest! {
+    // A case makes 18 passes of up to ~151k pair updates each.
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// A full pass over rows of skewed cost equals the oracle at threads 2,
+    /// 3 and 8, uncapped and capped. A heavy row adds about 40 times the
+    /// (pair, file) terms of a light one, and the heavy rows come in two
+    /// runs of consecutive ids, so the cost-weighted split points fall
+    /// inside those runs (checked below) and each worker takes some of a
+    /// run's rows.
+    #[test]
+    fn skewed_rows_split_by_cost_match_the_paper(
+        values in proptest::collection::vec(0.0f64..=1.0, 3496..3497),
+        hours in proptest::collection::vec(0u64..48, 3496..3497),
+        cap in 40usize..80,
+    ) {
+        let mut store = EvaluationStore::new();
+        let records = (0..SKEWED_USERS).flat_map(|user| {
+            let files = if heavy(user) { 0..SKEWED_FILES } else { user % SKEWED_FILES..user % SKEWED_FILES + 1 };
+            files.map(move |file| (UserId::new(user), FileId::new(file)))
+        });
+        for (i, (user, file)) in records.enumerate() {
+            store.record_download(SimTime::ZERO + SimDuration::from_hours(hours[i]), user, file);
+            if i % 3 == 0 {
+                store.record_vote(SimTime::ZERO, user, file, Evaluation::new(values[i]).expect("in range"));
+            }
+        }
+        // Every user is a member: row `p` is user `p`, of cost Σ (k_f − 1).
+        let costs: Vec<u64> = (0..SKEWED_USERS)
+            .map(|user| {
+                store
+                    .files_of(UserId::new(user))
+                    .map(|file| store.evaluators_of(file).count() as u64 - 1)
+                    .sum()
+            })
+            .collect();
+        for threads in [2, 3, 8] {
+            let ranges = weighted_ranges(&costs, threads);
+            prop_assert!(
+                ranges.iter().skip(1).any(|r| heavy(r.start as u64 - 1) && heavy(r.start as u64)),
+                "no split point inside a heavy run at {} threads: {:?}", threads, ranges
+            );
+        }
+        let now = SimTime::ZERO + SimDuration::from_hours(30);
+        for metric in METRICS {
+            for max_evaluators_per_file in [None, Some(cap)] {
+                let options = FileTrustOptions { metric, max_evaluators_per_file };
+                let want = oracle(&store, now, &params(1), options);
+                for threads in [2, 3, 8] {
+                    let got = FileTrust::compute_with(&store, now, &params(threads), options);
+                    prop_assert!(
+                        bits(got.raw()) == want,
+                        "{:?}, cap {:?}, {} threads", metric, max_evaluators_per_file, threads
                     );
                 }
             }

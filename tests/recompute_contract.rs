@@ -173,9 +173,8 @@ proptest! {
 proptest! {
     /// Shard-count equivalence: the published matrices are bit-identical to
     /// the unsharded engine for every tested shard count, and every epoch
-    /// runs in the same mode. The sharded engine applies its queued events
-    /// at the next epoch and expires on the engine as it stands, so the
-    /// unsharded reference holds its events until each recompute too.
+    /// runs in the same mode. The reference applies each event at once;
+    /// the sharded engine queues it until the next epoch or expiry.
     #[test]
     fn any_shard_count_matches_unsharded(
         ops in ops_strategy(60),
@@ -184,18 +183,14 @@ proptest! {
         for shards in [1usize, 2, 4, 7] {
             let mut reference = ReputationEngine::new(params(threshold));
             let sharded = ShardedEngine::new(params(threshold), shards);
-            let mut queued: Vec<EngineEvent> = Vec::new();
             let mut now = SimTime::ZERO;
             for &op in &ops {
                 match step(op, &mut now) {
                     Step::Event(event) => {
-                        queued.push(event);
+                        event.apply_to(&mut reference);
                         sharded.ingest(event);
                     }
                     Step::Recompute => {
-                        for event in queued.drain(..) {
-                            event.apply_to(&mut reference);
-                        }
                         reference.recompute(now);
                         sharded.recompute_epoch(now);
                         prop_assert_eq!(
@@ -209,9 +204,6 @@ proptest! {
                     }
                     Step::Skip => {}
                 }
-            }
-            for event in queued.drain(..) {
-                event.apply_to(&mut reference);
             }
             reference.recompute(now);
             sharded.recompute_epoch(now);
