@@ -5,6 +5,12 @@
 //! samples from. Also the wall time and resident memory of joining the
 //! overlay.
 //!
+//! The per-record cost of checking a 99-owner list in one
+//! `KeyRegistry::verify_batch` call, of its first 16 records (one full
+//! chunk of lanes) and of its first 7, which the batch checks one record
+//! at a time; the `verify` row checks one record per call. The batch rows
+//! take (owner, signed bytes, signature) triples built before timing.
+//!
 //! The cache tier's record path, on 16 more files with 99 owners each: a
 //! warm hit, a miss (fetch, verify and fill, gossip off), and the same
 //! miss followed by a push to `GossipConfig::default().fanout` peers. The
@@ -22,7 +28,7 @@
 //! `current`).
 
 use mdrep_bench::{arg_value, Table};
-use mdrep_crypto::KeyRegistry;
+use mdrep_crypto::{KeyRegistry, Signature};
 use mdrep_dht::{
     CacheConfig, CacheTierConfig, Dht, DhtConfig, EvaluationCacheTier, EvaluationPublisher,
     GossipConfig, Key, RetrievalSource,
@@ -149,6 +155,29 @@ fn main() {
         let record = &records[(i % OWNERS) as usize];
         assert!(black_box(record.info.verify(&registry)));
     });
+    let owner_list = publisher
+        .retrieve(&mut dht, &registry, u(1), tier_file(0), SimTime::ZERO)
+        .expect("online");
+    assert_eq!(owner_list.len() as u64, TIER_OWNERS, "every owner's record");
+    // `encode` is the 24 signed bytes followed by the signature.
+    let signed: Vec<(UserId, [u8; 24], Signature)> = owner_list
+        .iter()
+        .map(|r| {
+            let bytes = r.info.encode()[..24].try_into().expect("24 signed bytes");
+            (r.info.owner, bytes, r.info.signature)
+        })
+        .collect();
+    let batch_row = |len: usize| {
+        let batch = &signed[..len];
+        per_call_ns(20_000 / len as u64, |_| {
+            let valid = registry.verify_batch(black_box(batch));
+            assert!(valid.iter().all(|v| *v));
+            black_box(valid);
+        }) / len as f64
+    };
+    let verify_batch_99 = batch_row(signed.len());
+    let verify_batch_16 = batch_row(16);
+    let verify_batch_7 = batch_row(7);
     let retrieve = per_call_ns(200, |i| {
         let file = FileId::new(i % FILES);
         let got = publisher
@@ -229,6 +258,9 @@ fn main() {
         ("closest_k8", closest / 1e3, "us"),
         ("lookup_get", lookup / 1e3, "us"),
         ("verify", verify / 1e3, "us"),
+        ("verify_batch_99_per_record", verify_batch_99 / 1e3, "us"),
+        ("verify_batch_16_per_record", verify_batch_16 / 1e3, "us"),
+        ("verify_batch_7_per_record", verify_batch_7 / 1e3, "us"),
         ("retrieve_50_records", retrieve / 1e3, "us"),
         ("online_users", online / 1e3, "us"),
         ("tier_hit_99_records", hit / 1e3, "us"),

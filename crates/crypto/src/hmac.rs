@@ -60,6 +60,12 @@ impl HmacSha256 {
         self.outer.finalize()
     }
 
+    /// The inner and outer hashes' chaining states after their key-pad
+    /// blocks, before any message byte.
+    pub(crate) fn chaining_states(&self) -> ([u32; 8], [u32; 8]) {
+        (self.inner.chaining_state(), self.outer.chaining_state())
+    }
+
     /// One-shot convenience: `HMAC(key, message)`.
     #[must_use]
     pub fn mac(key: &[u8], message: &[u8]) -> Digest {

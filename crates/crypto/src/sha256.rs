@@ -243,64 +243,181 @@ impl Sha256 {
         block[56..].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
 
-        let mut out = [0u8; 32];
-        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
-            chunk.copy_from_slice(&word.to_be_bytes());
-        }
-        Digest(out)
+        Digest(state_bytes(&self.state))
     }
 
-    /// The compression function (FIPS 180-4 §6.2.2) over one 512-bit block.
+    /// Absorbs one 512-bit block.
     fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().expect("4 bytes"));
+        compress(&mut self.state, &block_words(block));
+    }
+
+    /// A hasher that has absorbed one block and reached `state`: an HMAC
+    /// key pad's chaining state, resumed for a longer message.
+    pub(crate) fn resume(state: [u32; 8]) -> Self {
+        Self {
+            state,
+            len: 64,
+            buf: [0; 64],
+            buf_len: 0,
         }
-        for t in 16..64 {
-            let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
-            let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
-            w[t] = w[t - 16]
+    }
+
+    /// The chaining state after whole blocks only.
+    pub(crate) fn chaining_state(&self) -> [u32; 8] {
+        assert_eq!(self.buf_len, 0, "a chaining state follows whole blocks");
+        self.state
+    }
+}
+
+/// A block's 16 big-endian words.
+pub(crate) fn block_words(block: &[u8; 64]) -> [u32; 16] {
+    let mut words = [0u32; 16];
+    for (word, chunk) in words.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes(chunk.try_into().expect("4 bytes"));
+    }
+    words
+}
+
+/// The big-endian bytes of eight state words.
+pub(crate) fn state_bytes(state: &[u32; 8]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+        chunk.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// The compression function (FIPS 180-4 §6.2.2) over one 512-bit block,
+/// given as its 16 big-endian words.
+pub(crate) fn compress(state: &mut [u32; 8], block: &[u32; 16]) {
+    let mut w = [0u32; 64];
+    w[..16].copy_from_slice(block);
+    for t in 16..64 {
+        let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
+        let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
+        w[t] = w[t - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[t - 7])
+            .wrapping_add(s1);
+    }
+
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for t in 0..64 {
+        let sigma1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(sigma1)
+            .wrapping_add(ch)
+            .wrapping_add(K[t])
+            .wrapping_add(w[t]);
+        let sigma0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = sigma0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+
+    for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *word = word.wrapping_add(add);
+    }
+}
+
+/// Independent compressions that [`compress_lanes`] runs side by side:
+/// four 128-bit registers of `u32` lanes on the default x86-64 target
+/// (SSE2). With 8 lanes LLVM unrolls each round's lane loop fully and
+/// leaves it scalar, so 8 lanes cost what 8 scalar compressions cost;
+/// 32 lanes cost the same per compression as 16 and need batches twice
+/// as long.
+pub(crate) const LANES: usize = 16;
+
+/// One state or block word across every lane.
+type Lanes = [u32; LANES];
+
+/// One round of [`compress`] in every lane. The working variables are
+/// passed in their roles for this round: the caller rotates the roles
+/// instead of moving the variables, so only `d` and `h` change. Each
+/// round is one loop over the lanes with the whole round in its body,
+/// which LLVM's loop vectorizer widens to vector instructions.
+#[inline(always)]
+fn round(
+    [a, b, c]: [&Lanes; 3],
+    d: &mut Lanes,
+    [e, f, g]: [&Lanes; 3],
+    h: &mut Lanes,
+    w: &[Lanes; 64],
+    t: usize,
+) {
+    let (k, w) = (K[t], &w[t]);
+    for lane in 0..LANES {
+        let (a, b, c, e, f, g) = (a[lane], b[lane], c[lane], e[lane], f[lane], g[lane]);
+        let sigma1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h[lane]
+            .wrapping_add(sigma1)
+            .wrapping_add(ch)
+            .wrapping_add(k)
+            .wrapping_add(w[lane]);
+        let sigma0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (c & (a ^ b));
+        d[lane] = d[lane].wrapping_add(t1);
+        h[lane] = t1.wrapping_add(sigma0.wrapping_add(maj));
+    }
+}
+
+/// [`compress`] run on [`LANES`] independent (state, block) pairs at
+/// once: `state[j][lane]` is word `j` of one lane's state, and
+/// `block[j][lane]` word `j` of its block.
+pub(crate) fn compress_lanes(state: &mut [Lanes; 8], block: &[Lanes; 16]) {
+    let mut w = [[0u32; LANES]; 64];
+    w[..16].copy_from_slice(block);
+    for t in 16..64 {
+        let (done, rest) = w.split_at_mut(t);
+        let (w2, w7, w15, w16) = (&done[t - 2], &done[t - 7], &done[t - 15], &done[t - 16]);
+        for (lane, out) in rest[0].iter_mut().enumerate() {
+            let (x15, x2) = (w15[lane], w2[lane]);
+            let s0 = x15.rotate_right(7) ^ x15.rotate_right(18) ^ (x15 >> 3);
+            let s1 = x2.rotate_right(17) ^ x2.rotate_right(19) ^ (x2 >> 10);
+            *out = w16[lane]
                 .wrapping_add(s0)
-                .wrapping_add(w[t - 7])
+                .wrapping_add(w7[lane])
                 .wrapping_add(s1);
         }
+    }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for t in 0..64 {
-            let sigma1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(sigma1)
-                .wrapping_add(ch)
-                .wrapping_add(K[t])
-                .wrapping_add(w[t]);
-            let sigma0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = sigma0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for t in (0..64).step_by(8) {
+        round([&a, &b, &c], &mut d, [&e, &f, &g], &mut h, &w, t);
+        round([&h, &a, &b], &mut c, [&d, &e, &f], &mut g, &w, t + 1);
+        round([&g, &h, &a], &mut b, [&c, &d, &e], &mut f, &w, t + 2);
+        round([&f, &g, &h], &mut a, [&b, &c, &d], &mut e, &w, t + 3);
+        round([&e, &f, &g], &mut h, [&a, &b, &c], &mut d, &w, t + 4);
+        round([&d, &e, &f], &mut g, [&h, &a, &b], &mut c, &w, t + 5);
+        round([&c, &d, &e], &mut f, [&g, &h, &a], &mut b, &w, t + 6);
+        round([&b, &c, &d], &mut e, [&f, &g, &h], &mut a, &w, t + 7);
+    }
+
+    for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        for (word, add) in word.iter_mut().zip(add) {
+            *word = word.wrapping_add(add);
         }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::TestRng;
+
+    /// One lane's words.
+    fn lane_of<const N: usize>(words: &[Lanes; N], lane: usize) -> [u32; N] {
+        std::array::from_fn(|j| words[j][lane])
+    }
 
     /// NIST FIPS 180-4 / NESSIE standard vectors.
     #[test]
@@ -434,5 +551,50 @@ ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
         );
         assert!(format!("{d:?}").starts_with("Digest(ba7816bf"));
         assert_eq!(d.to_string().len(), 64);
+    }
+
+    #[test]
+    fn every_lane_equals_the_scalar_compression() {
+        let mut rng = TestRng::for_test("every_lane_equals_the_scalar_compression");
+        for _ in 0..64 {
+            let mut state = [[0u32; LANES]; 8];
+            let mut block = [[0u32; LANES]; 16];
+            for word in state.iter_mut().chain(block.iter_mut()).flatten() {
+                *word = rng.next_u64() as u32;
+            }
+            let mut lanes = state;
+            compress_lanes(&mut lanes, &block);
+            for lane in 0..LANES {
+                let mut scalar = lane_of(&state, lane);
+                compress(&mut scalar, &lane_of(&block, lane));
+                assert_eq!(lane_of(&lanes, lane), scalar, "lane {lane}");
+            }
+        }
+    }
+
+    #[test]
+    fn each_lane_position_gives_the_nist_abc_digest() {
+        // "abc" padded to its one block, in one lane among copies of
+        // another block.
+        let mut padded = [0u8; 64];
+        padded[..3].copy_from_slice(b"abc");
+        padded[3] = 0x80;
+        padded[63] = 24;
+        let abc = block_words(&padded);
+        let other = block_words(&[0x5a; 64]);
+        for position in 0..LANES {
+            let mut state = H0.map(|word| [word; LANES]);
+            let mut block = other.map(|word| [word; LANES]);
+            for (word, value) in block.iter_mut().zip(abc) {
+                word[position] = value;
+            }
+            compress_lanes(&mut state, &block);
+            for lane in 0..LANES {
+                let digest = Digest(state_bytes(&lane_of(&state, lane)));
+                let is_abc = digest.to_hex()
+                    == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad";
+                assert_eq!(is_abc, lane == position, "abc at {position}, lane {lane}");
+            }
+        }
     }
 }

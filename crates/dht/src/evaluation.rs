@@ -44,6 +44,23 @@ impl EvaluationInfo {
         )
     }
 
+    /// Verifies every record against the registry in one
+    /// [`KeyRegistry::verify_batch`] call: one flag per record, in order,
+    /// each equal to [`verify`](Self::verify)'s.
+    pub(crate) fn verify_all<'a>(
+        infos: impl IntoIterator<Item = &'a Self>,
+        registry: &KeyRegistry,
+    ) -> Vec<bool> {
+        let records: Vec<_> = infos
+            .into_iter()
+            .map(|info| {
+                let message = Self::message_bytes(info.file, info.owner, info.evaluation);
+                (info.owner, message, info.signature)
+            })
+            .collect();
+        registry.verify_batch(&records)
+    }
+
     /// Canonical byte encoding (also the signing message):
     /// `file:u64 | owner:u64 | eval:f64-bits | signature:32`.
     #[must_use]
@@ -243,22 +260,17 @@ impl EvaluationPublisher {
         now: SimTime,
     ) -> Result<RetrievalOutcome, DhtError> {
         let got = dht.get(requester, key, now)?;
-        let mut undecodable = 0;
-        let records = got
+        let mut records: Vec<VerifiedEvaluation> = got
             .values
             .iter()
-            .filter_map(|bytes| {
-                let decoded = EvaluationInfo::decode(bytes);
-                if decoded.is_none() {
-                    undecodable += 1;
-                }
-                decoded
-            })
-            .map(|info| {
-                let valid = info.verify(registry);
-                VerifiedEvaluation { info, valid }
-            })
+            .filter_map(|bytes| EvaluationInfo::decode(bytes))
+            .map(|info| VerifiedEvaluation { info, valid: false })
             .collect();
+        let undecodable = got.values.len() - records.len();
+        let valid = EvaluationInfo::verify_all(records.iter().map(|r| &r.info), registry);
+        for (record, valid) in records.iter_mut().zip(valid) {
+            record.valid = valid;
+        }
         Ok(RetrievalOutcome {
             records,
             unreachable: got.unreachable,

@@ -348,8 +348,9 @@ impl EvaluationCacheTier {
         }
     }
 
-    /// Processes one gossip delivery at `receiver`: decode, verify, then
-    /// dedup each record, and merge the accepted ones into the receiver's
+    /// Processes one gossip delivery at `receiver`: decode every record,
+    /// verify the decoded ones in one batch, then dedup each valid record
+    /// in payload order, and merge the accepted ones into the receiver's
     /// cache entry for `file` in one step.
     fn deliver(
         &mut self,
@@ -359,14 +360,16 @@ impl EvaluationCacheTier {
         payloads: &[Vec<u8>],
         now: SimTime,
     ) {
+        let decoded: Vec<(&[u8], EvaluationInfo)> = payloads
+            .iter()
+            .filter_map(|bytes| EvaluationInfo::decode(bytes).map(|info| (bytes.as_slice(), info)))
+            .collect();
+        self.gossip.records_undecodable += (payloads.len() - decoded.len()) as u64;
+        let valid = EvaluationInfo::verify_all(decoded.iter().map(|(_, info)| info), registry);
         let mut accepted = Vec::new();
         let seen = self.seen.entry(receiver).or_default();
-        for bytes in payloads {
-            let Some(info) = EvaluationInfo::decode(bytes) else {
-                self.gossip.records_undecodable += 1;
-                continue;
-            };
-            if !info.verify(registry) {
+        for ((bytes, info), valid) in decoded.into_iter().zip(valid) {
+            if !valid {
                 self.gossip.records_rejected += 1;
                 continue;
             }
@@ -810,7 +813,30 @@ mod tests {
             .or_insert_with(|| ReputationCache::new(CacheConfig::default()));
         cache.insert(f(5), cached.clone().into(), SimTime::ZERO);
         let incoming = [signed(&registry, 1, 5, 0.9), signed(&registry, 3, 5, 0.7)];
-        let payloads: Vec<Vec<u8>> = incoming.iter().map(|r| r.info.encode()).collect();
+        // More than one chunk of lanes: the two records above, new owners,
+        // a replaced owner, tampered and undecodable bytes, duplicates.
+        let mut payloads: Vec<Vec<u8>> = incoming.iter().map(|r| r.info.encode()).collect();
+        for owner in 6..18 {
+            payloads.push(
+                signed(&registry, owner, 5, owner as f64 / 20.0)
+                    .info
+                    .encode(),
+            );
+        }
+        payloads.push(signed(&registry, 2, 5, 0.6).info.encode());
+        let mut bad_signature = signed(&registry, 7, 5, 0.1).info.encode();
+        bad_signature[40] ^= 0x01;
+        let mut bad_value = signed(&registry, 8, 5, 0.3).info.encode();
+        bad_value[23] ^= 0x01;
+        let mut bad_owner = signed(&registry, 9, 5, 0.3).info.encode();
+        bad_owner[15] = 99;
+        let mut out_of_range = signed(&registry, 10, 5, 0.3).info.encode();
+        out_of_range[16..24].copy_from_slice(&2.0f64.to_bits().to_be_bytes());
+        let truncated = signed(&registry, 11, 5, 0.3).info.encode()[..55].to_vec();
+        payloads.extend([bad_signature, bad_value, bad_owner, out_of_range, truncated]);
+        payloads.push(payloads[3].clone());
+        payloads.push(payloads[0].clone());
+        assert_eq!(payloads.len(), 22);
 
         // The per-record loop the merge replaces: decode, verify, dedup,
         // then a linear search for the owner's first slot.
@@ -818,8 +844,14 @@ mod tests {
         let mut seen = BTreeSet::new();
         let mut counters = GossipStats::default();
         for bytes in &payloads {
-            let info = EvaluationInfo::decode(bytes).unwrap();
-            assert!(info.verify(&registry));
+            let Some(info) = EvaluationInfo::decode(bytes) else {
+                counters.records_undecodable += 1;
+                continue;
+            };
+            if !info.verify(&registry) {
+                counters.records_rejected += 1;
+                continue;
+            }
             if !seen.insert(fnv1a(FNV_OFFSET, bytes)) {
                 counters.records_duplicate += 1;
                 continue;
@@ -834,6 +866,13 @@ mod tests {
                 None => expected.push(record),
             }
         }
+        let kinds = (
+            counters.records_accepted,
+            counters.records_rejected,
+            counters.records_undecodable,
+            counters.records_duplicate,
+        );
+        assert_eq!(kinds, (15, 3, 2, 2));
 
         tier.deliver(&registry, receiver, f(5), &payloads, SimTime::from_ticks(1));
         let cache = tier.caches.get_mut(&receiver).unwrap();
@@ -843,8 +882,10 @@ mod tests {
             merged[0], incoming[0],
             "the first slot of owner 1 is replaced"
         );
+        assert!((merged[1].info.evaluation.value() - 0.6).abs() < 1e-12);
         assert!((merged[2].info.evaluation.value() - 0.4).abs() < 1e-12);
         assert_eq!(merged[3], incoming[1], "the new owner is appended");
+        assert_eq!(merged.len(), 16);
         assert_eq!(tier.gossip_stats(), counters);
     }
 
